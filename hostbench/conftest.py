@@ -1,0 +1,10 @@
+"""Make the checkout's ``src/`` and this directory importable for the
+benchmark's own tests (``python -m pytest hostbench``)."""
+
+import sys
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+for path in (HERE.parent / "src", HERE):
+    if str(path) not in sys.path:
+        sys.path.insert(0, str(path))
