@@ -100,7 +100,7 @@ DEFAULT_SANITIZERS: Mapping[str, Optional[frozenset]] = {
     "all": ORDER_CATEGORIES,
     # The one sanctioned directory enumeration: sorted inside,
     # injectable for tests — its result carries no listing order.
-    "repro.ops.artifacts.injectable_listing": None,
+    "repro.rundir.injectable_listing": None,
     "injectable_listing": None,
 }
 

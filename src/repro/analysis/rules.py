@@ -39,7 +39,7 @@ simulated clock and explicit seeds*:
   and runs; unless immediately sorted (or reduced by an
   order-insensitive aggregate), everything derived from the listing
   inherits that ordering.  The sanctioned raw enumeration lives in
-  :func:`repro.ops.artifacts.injectable_listing`, which sorts
+  :func:`repro.rundir.injectable_listing`, which sorts
   internally and accepts an injected listing for tests.  This is the
   intraprocedural shadow of darpaflow's ``listing`` taint source.
 
@@ -464,7 +464,7 @@ LISTING_ORDER_ERASERS = frozenset({
 })
 
 #: Functions allowed to touch the raw listing: they sort internally
-#: and accept an injected listing for tests (repro.ops.artifacts).
+#: and accept an injected listing for tests (repro.rundir).
 LISTING_HELPERS = frozenset({"injectable_listing"})
 
 
@@ -473,7 +473,7 @@ class UnsortedListingRule(Rule):
     name = "unsorted-listing"
     summary = "unsorted filesystem enumeration"
     hint = ("wrap the enumeration in sorted(...), or go through "
-            "repro.ops.artifacts.injectable_listing — filesystem "
+            "repro.rundir.injectable_listing — filesystem "
             "order differs across hosts and runs")
 
     def check(self, node: ast.AST, ctx: FileContext) -> Iterator[Finding]:

@@ -31,20 +31,8 @@ from repro.bench.experiments import (
     run_darpa_over_fleet,
     run_darpa_session,
 )
-
-
-def _write_session_artifacts(trace_fp, metrics_fp, index: int,
-                             result: SessionResult) -> None:
-    """One session's spans + metrics snapshot as sorted-key JSONL.
-
-    Every line carries the *global* session index, so merged files are
-    self-describing and line order is auditable.
-    """
-    for span in result.spans or ():
-        trace_fp.write(json.dumps({"session": index, **span},
-                                  sort_keys=True) + "\n")
-    metrics_fp.write(json.dumps({"session": index, "metrics": result.metrics},
-                                sort_keys=True) + "\n")
+from repro.rundir import (
+    MERGED, TELEMETRY_PROM, RunListing, part_name, write_json)
 
 
 def _write_shard_artifacts(trace_dir: str,
@@ -53,34 +41,29 @@ def _write_shard_artifacts(trace_dir: str,
     named by the shard's first global index (shards are contiguous, so
     lexicographic part order IS global session order)."""
     from repro.core.telemetry import FleetTelemetry, SessionTelemetry
-    from repro.profiling import Profile, profile_from_result
+    from repro.profiling import profile_from_results
 
-    lo = results[0][0]
-    trace_path = os.path.join(trace_dir, f"shard-{lo:06d}.trace.jsonl")
-    metrics_path = os.path.join(trace_dir, f"shard-{lo:06d}.metrics.jsonl")
-    with open(trace_path, "w") as tfp, open(metrics_path, "w") as mfp:
+    def part(kind: str) -> str:
+        return os.path.join(trace_dir, part_name(results[0][0], kind))
+
+    # Sorted-key JSONL; every line carries its *global* session index,
+    # so merged files are self-describing and line order is auditable.
+    with open(part("trace"), "w") as tfp, open(part("metrics"), "w") as mfp:
         for index, result in results:
-            _write_session_artifacts(tfp, mfp, index, result)
-    # Shard-level telemetry: per-session latency sketches + counters,
-    # merged across the shard.  The parent folds the shard snapshots
-    # together — the sketch algebra makes the fleet-level snapshot
+            for span in result.spans or ():
+                tfp.write(json.dumps({"session": index, **span},
+                                     sort_keys=True) + "\n")
+            mfp.write(json.dumps({"session": index, "metrics": result.metrics},
+                                 sort_keys=True) + "\n")
+    # Shard-level telemetry (per-session latency sketches + counters) and
+    # stack profile.  The parent folds the shard parts together; both
+    # algebras are all-integer, so the fleet-level artifacts are
     # byte-identical for any shard count or merge order.
-    shard = FleetTelemetry()
-    for index, result in results:
-        shard.observe_session(SessionTelemetry.from_result(index, result))
-    telemetry_path = os.path.join(trace_dir, f"shard-{lo:06d}.telemetry.json")
-    with open(telemetry_path, "w") as fp:
-        json.dump(shard.snapshot(), fp, sort_keys=True, indent=2)
-        fp.write("\n")
-    # Shard-level stack profile: same merge-algebra contract as the
-    # sketches (all-integer state), so the fleet profile.json is
-    # byte-identical for any shard count too.
-    shard_profile = Profile()
-    for index, result in results:
-        shard_profile.merge(profile_from_result(result))
-    profile_path = os.path.join(trace_dir, f"shard-{lo:06d}.profile.json")
-    with open(profile_path, "w") as fp:
-        fp.write(shard_profile.to_json())
+    write_json(part("telemetry"), FleetTelemetry.from_sessions(
+        SessionTelemetry.from_result(index, result)
+        for index, result in results).snapshot())
+    with open(part("profile"), "w") as fp:
+        fp.write(profile_from_results(r for _, r in results).to_json())
 
 
 def write_session_part(trace_dir: str, index: int,
@@ -102,61 +85,35 @@ def write_session_part(trace_dir: str, index: int,
 def merge_trace_artifacts(trace_dir: str) -> Tuple[str, str]:
     """Merge shard part files into the fleet-level artifacts.
 
-    ``shard-*.{trace,metrics}.jsonl`` parts are concatenated in sorted
-    filename order — global session order, since shards are contiguous
-    index ranges named by their first index — into ``trace.jsonl`` +
-    ``metrics.jsonl``; ``shard-*.telemetry.json`` parts are folded with
-    :meth:`FleetTelemetry.merge` into ``telemetry.json`` (the versioned
-    snapshot) and ``telemetry.prom`` (Prometheus text exposition);
-    ``shard-*.profile.json`` parts are folded with
-    :meth:`repro.profiling.Profile.merge` into ``profile.json``.
-    Parts are removed afterwards.  Every merged byte is identical for
-    any worker/shard count, which the artifact tests assert.
+    JSONL parts are concatenated in part-name (= global session) order,
+    telemetry and profile parts folded with their exactly associative
+    ``merge``, plus ``telemetry.prom``; the parts are removed afterwards
+    (DESIGN.md §5i lists every merge rule).  Every merged byte is
+    identical for any worker/shard count, which the artifact tests
+    assert.
     """
     from repro.core.telemetry import FleetTelemetry
     from repro.profiling import Profile
 
-    out_paths = []
+    run = RunListing.scan(trace_dir)
     for kind in ("trace", "metrics"):
-        parts = sorted(
-            name for name in os.listdir(trace_dir)
-            if name.startswith("shard-") and name.endswith(f".{kind}.jsonl"))
-        out_path = os.path.join(trace_dir, f"{kind}.jsonl")
-        with open(out_path, "w") as out_fp:
-            for name in parts:
-                part_path = os.path.join(trace_dir, name)
-                with open(part_path) as fp:
+        with open(run.join(MERGED[kind]), "w") as out_fp:
+            for name in run.parts(kind):
+                with open(run.join(name)) as fp:
                     out_fp.write(fp.read())
-                os.remove(part_path)
-        out_paths.append(out_path)
-
-    fleet = FleetTelemetry()
-    telemetry_parts = sorted(
-        name for name in os.listdir(trace_dir)
-        if name.startswith("shard-") and name.endswith(".telemetry.json"))
-    for name in telemetry_parts:
-        part_path = os.path.join(trace_dir, name)
-        with open(part_path) as fp:
-            fleet.merge(FleetTelemetry.from_snapshot(json.load(fp)))
-        os.remove(part_path)
-    with open(os.path.join(trace_dir, "telemetry.json"), "w") as fp:
-        json.dump(fleet.snapshot(), fp, sort_keys=True, indent=2)
-        fp.write("\n")
-    with open(os.path.join(trace_dir, "telemetry.prom"), "w") as fp:
+    fleet = run.fold(run.parts("telemetry"), FleetTelemetry.from_snapshot,
+                     FleetTelemetry())
+    write_json(run.join(MERGED["telemetry"]), fleet.snapshot())
+    with open(run.join(TELEMETRY_PROM), "w") as fp:
         fp.write(fleet.to_prometheus())
-
-    fleet_profile = Profile()
-    profile_parts = sorted(
-        name for name in os.listdir(trace_dir)
-        if name.startswith("shard-") and name.endswith(".profile.json"))
-    for name in profile_parts:
-        part_path = os.path.join(trace_dir, name)
-        with open(part_path) as fp:
-            fleet_profile.merge(Profile.from_dict(json.load(fp)))
-        os.remove(part_path)
-    with open(os.path.join(trace_dir, "profile.json"), "w") as fp:
+    fleet_profile = run.fold(run.parts("profile"), Profile.from_dict,
+                             Profile())
+    with open(run.join(MERGED["profile"]), "w") as fp:
         fp.write(fleet_profile.to_json())
-    return out_paths[0], out_paths[1]
+    for kind in MERGED:
+        for name in run.parts(kind):
+            os.remove(run.join(name))
+    return run.join(MERGED["trace"]), run.join(MERGED["metrics"])
 
 
 def _run_shard(payload) -> List[Tuple[int, SessionResult]]:
@@ -209,12 +166,9 @@ def run_darpa_over_fleet_parallel(
     global index, so chaos runs are shard-invariant too.
 
     ``trace=True`` traces every session (results carry spans/metrics).
-    ``trace_dir`` (implies tracing) additionally writes per-shard
-    ``shard-<first-index>.{trace,metrics}.jsonl`` +
-    ``shard-<first-index>.{telemetry,profile}.json`` part files and
-    merges them into ``trace.jsonl``, ``metrics.jsonl``,
-    ``telemetry.json``, ``telemetry.prom`` and ``profile.json`` by
-    global session index — byte-identical for any worker/shard count.
+    ``trace_dir`` (implies tracing) additionally writes per-shard part
+    files and merges them into the fleet artifacts by global session
+    index — byte-identical for any worker/shard count.
     """
     if trace_dir is not None:
         trace = True

@@ -344,9 +344,8 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
 
 
 def _cmd_slo(args: argparse.Namespace) -> int:
-    import json
-
     from repro.core.telemetry import SloEngine, default_slos
+    from repro.rundir import write_json
 
     _, telemetries, fleet = _run_telemetry_fleet(args)
     engine = SloEngine(default_slos(ct_ms=args.ct))
@@ -369,54 +368,31 @@ def _cmd_slo(args: argparse.Namespace) -> int:
     else:
         print("\nno burn-rate alerts")
     if args.json:
-        with open(args.json, "w") as fp:
-            json.dump(report.to_dict(), fp, sort_keys=True, indent=2)
-            fp.write("\n")
+        write_json(args.json, report.to_dict())
         print(f"Wrote SLO report to {args.json}")
     if args.fail_on_alert and report.alerts:
         return 1
     return 0
 
 
-def _load_trace_telemetry(path: str):
-    """Fleet telemetry from a span JSONL file (single-session ``repro
-    trace`` output or a merged fleet ``trace.jsonl``)."""
-    import json
-
-    from repro.core.telemetry import FleetTelemetry, sketches_from_spans
-
-    by_session: dict = {}
-    with open(path) as fp:
-        for lineno, line in enumerate(fp, 1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}:{lineno}: malformed JSONL ({exc})")
-            if not isinstance(record, dict) or "name" not in record:
-                raise ValueError(f"{path}:{lineno}: not a span record")
-            session = int(record.pop("session", 0))
-            by_session.setdefault(session, []).append(record)
-    fleet = FleetTelemetry()
-    fleet.sessions = len(by_session)
-    for session in sorted(by_session):
-        for name, sketch in sketches_from_spans(
-                by_session[session], session=session).items():
-            fleet.sketches[name].merge(sketch)
-    return fleet
-
-
 def _cmd_top(args: argparse.Namespace) -> int:
     if args.trace is not None:
+        from repro.core.telemetry import (
+            FleetTelemetry,
+            SessionTelemetry,
+            sketches_from_spans,
+        )
+        from repro.rundir import read_spans
+
+        # A single-session `repro trace` dump or a merged fleet trace.jsonl.
         try:
-            fleet = _load_trace_telemetry(args.trace)
-        except OSError as exc:
-            print(f"top: cannot read trace {args.trace}: {exc}",
-                  file=sys.stderr)
-            return 1
+            spans = read_spans([args.trace])
+            fleet = FleetTelemetry.from_sessions(
+                SessionTelemetry(session, sketches_from_spans(
+                    spans[session], session=session))
+                for session in sorted(spans))
         except ValueError as exc:
-            print(f"top: {exc}", file=sys.stderr)
+            print(f"top: cannot read trace: {exc}", file=sys.stderr)
             return 1
         source = args.trace
     else:

@@ -77,6 +77,15 @@ from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.android.clock import SimulatedClock
 from repro.android.faults import FaultInjector, FaultPlan
+from repro.rundir import (
+    DAEMON,
+    DRAIN,
+    JOURNAL,
+    RunDirectoryError,
+    RunListing,
+    recover_jsonl,
+    write_json,
+)
 
 #: Schema version of ``journal.jsonl`` (header line).
 JOURNAL_VERSION = 1
@@ -571,18 +580,24 @@ class DarpaDaemon:
 
     def _journal_path(self) -> str:
         assert self.out_dir is not None
-        return os.path.join(self.out_dir, "journal.jsonl")
+        return os.path.join(self.out_dir, JOURNAL)
 
     def _read_journal(self) -> Tuple[int, ...]:
-        """Completed global indices of the killed run being resumed."""
+        """Completed global indices of the killed run being resumed.
+
+        A torn final append counts as not journaled: that session
+        re-runs and overwrites its parts (see ``_journal_completed``).
+        """
         path = self._journal_path()
         if not os.path.exists(path):
             raise JournalError(f"no journal to resume at {path}")
-        with open(path) as fp:
-            lines = [line for line in fp.read().splitlines() if line]
-        if not lines:
+        try:
+            records = recover_jsonl(path)
+        except RunDirectoryError as exc:
+            raise JournalError(f"corrupt journal: {exc}")
+        if not records:
             raise JournalError(f"empty journal at {path}")
-        header = json.loads(lines[0])
+        header = records[0]
         if header.get("kind") != "darpa-daemon-journal":
             raise JournalError("not a daemon journal")
         if header.get("version") != JOURNAL_VERSION:
@@ -592,8 +607,10 @@ class DarpaDaemon:
         if header.get("fingerprint") != self.fingerprint():
             raise JournalError(
                 "journal was written by a different run configuration")
-        done = sorted({int(json.loads(line)["index"]) for line in lines[1:]})
-        return tuple(done)
+        done = {record.get("index") for record in records[1:]}
+        if not all(isinstance(index, int) for index in done):
+            raise JournalError("corrupt journal: entry without an index")
+        return tuple(sorted(done))  # type: ignore[type-var]
 
     def _start_journal(self) -> None:
         with open(self._journal_path(), "w") as fp:
@@ -616,12 +633,8 @@ class DarpaDaemon:
     def _reset_out_dir(self) -> None:
         assert self.out_dir is not None
         os.makedirs(self.out_dir, exist_ok=True)
-        stale = ("journal.jsonl", "daemon.json", "drain.json", "trace.jsonl",
-                 "metrics.jsonl", "telemetry.json", "telemetry.prom",
-                 "profile.json")
-        for name in sorted(os.listdir(self.out_dir)):
-            if name in stale or name.startswith("shard-"):
-                os.remove(os.path.join(self.out_dir, name))
+        for name in RunListing.scan(self.out_dir).stale():
+            os.remove(os.path.join(self.out_dir, name))
 
     # -- the run --------------------------------------------------------
 
@@ -943,9 +956,7 @@ class DarpaDaemon:
             "rejections": [r.to_dict() for r in report.rejections],
             "batches": [b.to_dict() for b in report.batches],
         }
-        with open(os.path.join(self.out_dir, "daemon.json"), "w") as fp:
-            json.dump(daemon_payload, fp, sort_keys=True, indent=2)
-            fp.write("\n")
+        write_json(os.path.join(self.out_dir, DAEMON), daemon_payload)
         drain_payload = {
             "version": DAEMON_ARTIFACT_VERSION,
             "fingerprint": self.fingerprint(),
@@ -956,9 +967,7 @@ class DarpaDaemon:
             "shed": report.counters["shed"],
             "queues_flushed": True,
         }
-        with open(os.path.join(self.out_dir, "drain.json"), "w") as fp:
-            json.dump(drain_payload, fp, sort_keys=True, indent=2)
-            fp.write("\n")
+        write_json(os.path.join(self.out_dir, DRAIN), drain_payload)
         if self.trace and report.counters["completed"]:
             merge_trace_artifacts(self.out_dir)
 

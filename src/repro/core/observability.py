@@ -48,6 +48,7 @@ from typing import (
     Iterable,
     Iterator,
     List,
+    Mapping,
     Optional,
     Sequence,
     Tuple,
@@ -94,6 +95,11 @@ def op_cpu_ms(profile: DeviceProfile) -> Dict[str, float]:
         PerfOp.DECORATION.value: profile.decoration_cpu_ms,
         PerfOp.APP_FRAME.value: 0.0,
     }
+
+
+def ops_cpu_ms(ops: Mapping[str, int], costs: Mapping[str, float]) -> float:
+    """Cost-model CPU of one span's op charges, summed in charge order."""
+    return sum(int(n) * costs[op] for op, n in ops.items())
 
 
 # ---------------------------------------------------------------------------
@@ -282,8 +288,7 @@ class Span:
 
     def cpu_ms(self, profile: DeviceProfile) -> float:
         """Cost-model CPU attributed directly to this span (not children)."""
-        costs = op_cpu_ms(profile)
-        return sum(n * costs[op] for op, n in self.ops.items())
+        return ops_cpu_ms(self.ops, op_cpu_ms(profile))
 
     def to_dict(self) -> Dict[str, object]:
         return {
@@ -622,12 +627,9 @@ def stage_cpu_ms(spans: Iterable[Dict[str, object]],
     over-counts, and the tracer's ``dropped`` counter says how many
     spans are missing.  ``tests/core`` pins this behavior.
     """
-    profile = profile or DeviceProfile()
-    costs = op_cpu_ms(profile)
+    index = SpanIndex.build(spans, profile)
     out: Dict[str, float] = {}
-    for span in spans:
-        cpu = sum(int(n) * costs[op]
-                  for op, n in span.get("ops", {}).items())  # type: ignore[union-attr]
+    for span, cpu in zip(index.spans, index.cpu_ms):
         name = str(span["name"])
         out[name] = out.get(name, 0.0) + cpu
     return out
@@ -640,6 +642,79 @@ def session_root(spans: Sequence[Dict[str, object]]) -> Dict[str, object]:
     if len(roots) != 1:
         raise ValueError(f"expected exactly one session root, got {len(roots)}")
     return roots[0]
+
+
+@dataclass(frozen=True)
+class SpanIndex:
+    """Immutable structural index of one session's exported span dump.
+
+    Per-position tuples follow dump order (finish order): span id,
+    cost-model CPU charged to the span itself (never rolled up), and
+    span-name path from the root, with ``orphan`` set where the parent
+    was evicted before export (the span is then its own root).
+    ``children`` maps a span id to its children's positions in dump
+    order.  Sketches, profile folds, stage totals and the dashboard
+    waterfall all derive from this one walk.  Raises ``ValueError`` on
+    malformed op charges or a parent chain that loops.
+    """
+
+    spans: Tuple[Mapping[str, object], ...]
+    ids: Tuple[int, ...]
+    cpu_ms: Tuple[float, ...]
+    paths: Tuple[Tuple[str, ...], ...]
+    orphan: Tuple[bool, ...]
+    children: Mapping[int, Tuple[int, ...]]
+
+    @classmethod
+    def build(cls, spans: Iterable[Mapping[str, object]],
+              profile: Optional[DeviceProfile] = None) -> "SpanIndex":
+        records = tuple(spans)
+        costs = op_cpu_ms(profile or DeviceProfile())
+        try:
+            cpu = tuple(ops_cpu_ms(span.get("ops", {}), costs)  # type: ignore[arg-type]
+                        for span in records)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"malformed span op charges ({exc!r})")
+        ids = tuple(int(span["span_id"]) for span in records)  # type: ignore[arg-type]
+        by_id = dict(zip(ids, records))
+        children: Dict[int, List[int]] = {}
+        for pos, span in enumerate(records):
+            if span["parent_id"] is not None:
+                children.setdefault(span["parent_id"], []).append(pos)  # type: ignore[arg-type]
+        paths: Dict[object, Tuple[str, ...]] = {None: ()}
+        orphans: Dict[object, bool] = {}
+        for span_id in ids:
+            # Climb to a resolved ancestor or a root, then name downwards.
+            chain: List[object] = []
+            link: object = span_id
+            while link not in paths:
+                if link in chain:
+                    raise ValueError(f"span {link} is its own ancestor")
+                chain.append(link)
+                up = by_id[link]["parent_id"]  # type: ignore[index]
+                # A parent evicted by the ring buffer roots the span here.
+                orphans[link] = up is not None and up not in by_id
+                link = None if orphans[link] else up
+            for link in reversed(chain):
+                up = None if orphans[link] else by_id[link]["parent_id"]  # type: ignore[index]
+                paths[link] = paths[up] + (str(by_id[link]["name"]),)  # type: ignore[index]
+        return cls(spans=records, ids=ids, cpu_ms=cpu,
+                   paths=tuple(paths[i] for i in ids),
+                   orphan=tuple(orphans[i] for i in ids),
+                   children={k: tuple(v) for k, v in children.items()})
+
+    def depth(self, pos: int) -> int:
+        return len(self.paths[pos]) - 1
+
+    def subtree_cpu_ms(self, pos: int) -> float:
+        """CPU of the span at ``pos`` plus all its descendants."""
+        total = self.cpu_ms[pos]
+        stack = [self.ids[pos]]
+        while stack:
+            for child in self.children.get(stack.pop(), ()):
+                total += self.cpu_ms[child]
+                stack.append(self.ids[child])
+        return total
 
 
 def report_from_spans(

@@ -1,11 +1,9 @@
 """Live ops dashboard over fleet run artifacts.
 
 ``repro.ops`` is the operator-facing read path of the serving stack: it
-ingests the artifacts a fleet run (or the serving daemon) already
-leaves behind — ``telemetry.json`` or its ``shard-*.telemetry.json``
-parts, ``trace.jsonl`` / ``shard-*.trace.jsonl``, ``metrics.jsonl``,
-``daemon.json`` / ``drain.json``, an optional ``slo.json`` — into
-frozen view-models (:mod:`repro.ops.artifacts`), maps them through
+ingests the run directory a fleet run (or the serving daemon) already
+leaves behind (read through :mod:`repro.rundir`) into frozen
+view-models (:mod:`repro.ops.artifacts`), maps them through
 pure route functions to canonical byte-exact JSON
 (:mod:`repro.ops.routes`), and serves the result over a zero-dependency
 ``http.server`` host with an SSE trace tail (:mod:`repro.ops.server`,

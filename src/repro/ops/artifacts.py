@@ -1,59 +1,44 @@
 """Run-directory artifact loader for the ops dashboard.
 
-A fleet run leaves a directory of deterministic artifacts behind:
-
-- ``telemetry.json`` — the merged :class:`FleetTelemetry` snapshot, or
-  (mid-run / pre-merge) per-shard ``shard-*.telemetry.json`` parts;
-- ``trace.jsonl`` / ``shard-*.trace.jsonl`` — span JSONL, one line per
-  span, each line carrying its global ``session`` index;
-- ``metrics.jsonl`` / ``shard-*.metrics.jsonl`` — one
-  :class:`MetricsRegistry` snapshot line per session;
-- ``daemon.json`` / ``drain.json`` — the serving daemon's scheduling
-  records and drain manifest (absent for plain fleet runs);
-- ``slo.json`` — an optional pre-computed SLO report (``repro slo
-  --json``); when absent the report is derived here from the per-session
-  telemetry series with the stock objectives;
-- ``profile.json`` / ``shard-*.profile.json`` — the merged stack
-  profile or its shard parts (folded here; the merge algebra is
-  order-free).  When neither is present the profile is folded from the
-  loaded spans on the spot, so bare trace dumps still get a flame view;
-- ``baseline.profile.json`` — an optional reference profile the
-  ``/api/flame/diff`` route attributes the run against.
-
-:func:`load_run` folds all of that into one frozen :class:`RunModel`.
-Every fold is order-canonical — part files are sorted by name before
-reading and the sketch algebra is exactly associative — so the model
-(and therefore every route response built from it) is byte-identical
-no matter how the directory listing enumerated the shard parts.
+:func:`load_run` reads a run directory through :mod:`repro.rundir`
+(DESIGN.md §5i tabulates the layout) and folds telemetry, span dumps,
+metrics, daemon records, the SLO report and the stack profiles into
+one frozen :class:`RunModel`.  Every fold is order-canonical — part
+files are read in sorted-name order and the sketch and profile algebras
+are exactly associative — so the model (and therefore every route
+response built from it) is byte-identical no matter how the directory
+listing enumerated the shard parts.
 """
 
 from __future__ import annotations
 
-import json
-import os
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Mapping, Optional, Sequence, Tuple
 
 from repro.android.device import DeviceProfile
-from repro.core.observability import op_cpu_ms
+from repro.core.observability import SpanIndex
 from repro.core.telemetry import (
     FleetTelemetry,
     REACTION_SLACK_MS,
-    RESILIENCE_TELEMETRY_COUNTERS,
     SessionTelemetry,
     SloEngine,
-    TELEMETRY_COUNTERS,
+    counters_from_metrics,
     default_slos,
-    sketches_from_spans,
+    sketches_from_index,
 )
-from repro.profiling import Profile, dropped_from_metrics, profile_from_spans
+from repro.profiling import Profile
+from repro.profiling.fold import profile_from_sessions
+from repro.rundir import (
+    BASELINE_PROFILE,
+    DAEMON,
+    DRAIN,
+    SLO,
+    RunDirectoryError,
+    RunListing,
+)
 
 #: Schema version stamped on every route payload.
 OPS_VERSION = 1
-
-
-class RunDirectoryError(ValueError):
-    """The run directory is missing, unreadable, or has no artifacts."""
 
 
 @dataclass(frozen=True)
@@ -115,115 +100,22 @@ class RunModel:
         return frozenset(span.span_id for span in trace.spans)
 
 
-# ---------------------------------------------------------------------------
-# Artifact readers
-# ---------------------------------------------------------------------------
-
-def _classify(names: Sequence[str]) -> Dict[str, List[str]]:
-    """Sort artifact file names into kinds (order-canonical)."""
-    plan: Dict[str, List[str]] = {
-        "telemetry": [], "trace": [], "metrics": [], "profile": [],
-        "single": []}
-    for name in sorted(names):
-        if name == "telemetry.json" or (name.startswith("shard-")
-                                        and name.endswith(".telemetry.json")):
-            plan["telemetry"].append(name)
-        elif name == "trace.jsonl" or (name.startswith("shard-")
-                                       and name.endswith(".trace.jsonl")):
-            plan["trace"].append(name)
-        elif name == "metrics.jsonl" or (name.startswith("shard-")
-                                         and name.endswith(".metrics.jsonl")):
-            plan["metrics"].append(name)
-        elif name == "profile.json" or (name.startswith("shard-")
-                                        and name.endswith(".profile.json")):
-            plan["profile"].append(name)
-        elif name in ("daemon.json", "drain.json", "slo.json",
-                      "baseline.profile.json"):
-            plan["single"].append(name)
-    return plan
-
-
-def injectable_listing(run_dir: str,
-                       names: Optional[Sequence[str]] = None) -> List[str]:
-    """The sanctioned directory enumeration: sorted, injectable.
-
-    Returns ``sorted(names)`` when a listing is injected (goldens
-    shuffle it to prove listing-order invariance) and a sorted
-    ``os.listdir`` otherwise — callers never see on-disk order, which
-    is why darpaflow treats this helper as a listing sanitizer and
-    DL008 exempts its body.  Raises :class:`RunDirectoryError` when
-    the directory is unreadable.
-    """
-    try:
-        listing = list(names) if names is not None else os.listdir(run_dir)
-    except OSError as exc:
-        raise RunDirectoryError(f"cannot list run directory: {exc}")
-    return sorted(listing)
-
-
-def _read_jsonl(path: str) -> List[Dict[str, object]]:
-    records = []
-    with open(path) as fp:
-        for lineno, line in enumerate(fp, 1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise RunDirectoryError(
-                    f"{path}:{lineno}: malformed JSONL ({exc})")
-            if not isinstance(record, dict):
-                raise RunDirectoryError(
-                    f"{path}:{lineno}: expected an object per line")
-            records.append(record)
-    return records
-
-
-def _session_counters(snapshot: Mapping[str, object]) -> Dict[str, int]:
-    """Telemetry counters of one session's registry snapshot."""
-    counters: Dict[str, int] = {name: 0 for name in TELEMETRY_COUNTERS}
-    recorded = snapshot.get("counters", {})
-    for name in TELEMETRY_COUNTERS:
-        namespace = ("darpa.resilience."
-                     if name in RESILIENCE_TELEMETRY_COUNTERS
-                     else "darpa.pipeline.")
-        value = recorded.get(namespace + name)  # type: ignore[union-attr]
-        if value is not None:
-            counters[name] = int(value)
-    return counters
-
-
-def _build_trace(session: int, spans: Sequence[Mapping[str, object]],
-                 costs: Mapping[str, float]) -> SessionTrace:
-    depth: Dict[int, int] = {}
-    by_id = {int(s["span_id"]): s for s in spans}  # type: ignore[arg-type]
-
-    def depth_of(span_id: int) -> int:
-        if span_id in depth:
-            return depth[span_id]
-        parent = by_id[span_id]["parent_id"]
-        level = 0 if parent is None else depth_of(int(parent)) + 1  # type: ignore[arg-type]
-        depth[span_id] = level
-        return level
-
+def _build_trace(session: int, index: SpanIndex) -> SessionTrace:
     views = []
     root_trace, lo, hi = "", 0.0, 0.0
-    for span in spans:
-        span_id = int(span["span_id"])  # type: ignore[arg-type]
-        cpu = sum(int(n) * costs[op]
-                  for op, n in span.get("ops", {}).items())  # type: ignore[union-attr]
+    for pos, span in enumerate(index.spans):
         view = SpanView(
             session=session,
-            span_id=span_id,
+            span_id=index.ids[pos],
             parent_id=(None if span["parent_id"] is None
                        else int(span["parent_id"])),  # type: ignore[arg-type]
             trace_id=str(span["trace_id"]),
             name=str(span["name"]),
             start_ms=float(span["start_ms"]),  # type: ignore[arg-type]
             end_ms=float(span["end_ms"]),  # type: ignore[arg-type]
-            depth=depth_of(span_id),
-            cpu_ms=cpu,
-            attributes=dict(span.get("attributes", {})),  # type: ignore[arg-type]
+            depth=index.depth(pos),
+            cpu_ms=index.cpu_ms[pos],
+            attributes=dict(span["attributes"]),  # type: ignore[arg-type]
         )
         views.append(view)
         if view.parent_id is None and view.name == "session":
@@ -244,116 +136,56 @@ def load_run(
     ``names`` overrides the directory listing (the goldens shuffle it to
     prove the model is listing-order invariant); the loader sorts it
     before reading either way.  Raises :class:`RunDirectoryError` when
-    the directory is unreadable or holds no recognizable artifacts.
+    the directory is unreadable, holds no recognizable artifacts, or
+    any artifact in it is malformed.
     """
     profile = profile or DeviceProfile()
-    plan = _classify(injectable_listing(run_dir, names))
-    if not any(plan.values()):
+    run = RunListing.scan(run_dir, names)
+    if not run.recognized():
         raise RunDirectoryError(
             f"no run artifacts (telemetry/trace/daemon) in {run_dir}")
 
-    # Fleet telemetry: merged snapshot and/or shard parts.  In a real
-    # directory the two are mutually exclusive (the merge deletes the
-    # parts); folding whatever is present keeps mid-run directories
-    # loadable, and the sketch algebra makes the fold order-free.
-    fleet = FleetTelemetry()
-    for name in plan["telemetry"]:
-        with open(os.path.join(run_dir, name)) as fp:
-            try:
-                snap = json.load(fp)
-            except json.JSONDecodeError as exc:
-                raise RunDirectoryError(f"{name}: malformed JSON ({exc})")
-        fleet.merge(FleetTelemetry.from_snapshot(snap))
-
-    # Spans, grouped by global session index.  Line order within a
-    # session (span finish order) is preserved — the telemetry
-    # derivation depends on it — and part files are read in sorted-name
-    # order, which IS global session order for shard parts.
-    spans_by_session: Dict[int, List[Dict[str, object]]] = {}
-    for name in plan["trace"]:
-        for record in _read_jsonl(os.path.join(run_dir, name)):
-            session = int(record.pop("session", 0))  # type: ignore[arg-type]
-            spans_by_session.setdefault(session, []).append(record)
-
-    metrics_by_session: Dict[int, Mapping[str, object]] = {}
-    for name in plan["metrics"]:
-        for record in _read_jsonl(os.path.join(run_dir, name)):
-            session = int(record.get("session", 0))  # type: ignore[arg-type]
-            metrics_by_session[session] = record.get("metrics", {})  # type: ignore[assignment]
-
-    costs = op_cpu_ms(profile)
+    fleet = run.fold(run.artifacts("telemetry"), FleetTelemetry.from_snapshot,
+                     FleetTelemetry())
+    spans_by_session = run.spans()
+    metrics_by_session = run.metrics()
     sessions = tuple(sorted(spans_by_session))
-    traces = {
-        session: _build_trace(session, spans_by_session[session], costs)
-        for session in sessions
-    }
+    try:
+        indexes = {session: SpanIndex.build(spans_by_session[session],
+                                            profile) for session in sessions}
+    except ValueError as exc:
+        raise RunDirectoryError(f"{run_dir}: malformed span dump ({exc})")
+    traces = {session: _build_trace(session, indexes[session])
+              for session in sessions}
 
-    singles: Dict[str, Mapping[str, object]] = {}
-    for name in plan["single"]:
-        with open(os.path.join(run_dir, name)) as fp:
-            try:
-                singles[name] = json.load(fp)
-            except json.JSONDecodeError as exc:
-                raise RunDirectoryError(f"{name}: malformed JSON ({exc})")
+    # A directory with no profile artifacts derives its profile from
+    # the spans so bare trace dumps still serve /api/flame.
+    if run.artifacts("profile"):
+        run_profile = run.fold(run.artifacts("profile"), Profile.from_dict,
+                               Profile())
+    else:
+        run_profile = profile_from_sessions(indexes, metrics_by_session)
 
-    # Stack profile: merged file and/or shard parts, folded order-free
-    # (the profile algebra is all-integer, like the sketches).  A
-    # directory with no profile artifacts derives one from its spans so
-    # bare trace dumps still serve /api/flame.
-    run_profile = Profile()
-    for name in plan["profile"]:
-        with open(os.path.join(run_dir, name)) as fp:
-            try:
-                payload = json.load(fp)
-            except json.JSONDecodeError as exc:
-                raise RunDirectoryError(f"{name}: malformed JSON ({exc})")
-        try:
-            run_profile.merge(Profile.from_dict(payload))
-        except (ValueError, TypeError) as exc:
-            raise RunDirectoryError(f"{name}: malformed profile ({exc})")
-    if not plan["profile"]:
-        for session in sessions:
-            metrics = metrics_by_session.get(session, {})
-            run_profile.merge(profile_from_spans(
-                spans_by_session[session], profile=profile,
-                dropped_spans=dropped_from_metrics(metrics)))
-
-    baseline_profile: Optional[Profile] = None
-    baseline_payload = singles.get("baseline.profile.json")
-    if baseline_payload is not None:
-        try:
-            baseline_profile = Profile.from_dict(baseline_payload)
-        except (ValueError, TypeError) as exc:
-            raise RunDirectoryError(
-                f"baseline.profile.json: malformed profile ({exc})")
-
-    slo = singles.get("slo.json")
-    if slo is None:
+    # Per-session telemetry feeds the derived SLO report and, for a
+    # telemetry-free directory (daemon-only, or a bare trace), the
+    # rebuilt fleet snapshot the overview route projects.
+    slo = run.read(SLO)
+    if slo is None or not run.artifacts("telemetry"):
         series = [
             SessionTelemetry(
                 session=session,
-                sketches=sketches_from_spans(
-                    spans_by_session[session], profile=profile,
-                    session=session),
-                counters=_session_counters(
+                sketches=sketches_from_index(indexes[session],
+                                             session=session),
+                counters=counters_from_metrics(
                     metrics_by_session.get(session, {})))
             for session in sessions
         ]
-        engine = SloEngine(default_slos(ct_ms=ct_ms, profile=profile))
-        slo = engine.evaluate(series).to_dict()
-
-    # A telemetry-free directory (daemon-only, or a bare trace) still
-    # loads: the fleet snapshot is then rebuilt from the traces so the
-    # overview route has sketches to project.
-    if not plan["telemetry"] and sessions:
-        for session in sessions:
-            fleet.observe_session(SessionTelemetry(
-                session=session,
-                sketches=sketches_from_spans(
-                    spans_by_session[session], profile=profile,
-                    session=session),
-                counters=_session_counters(
-                    metrics_by_session.get(session, {}))))
+        if slo is None:
+            engine = SloEngine(default_slos(ct_ms=ct_ms, profile=profile))
+            slo = engine.evaluate(series).to_dict()
+        if not run.artifacts("telemetry"):
+            for telemetry in series:
+                fleet.observe_session(telemetry)
 
     return RunModel(
         ct_ms=float(ct_ms),
@@ -363,10 +195,10 @@ def load_run(
         sessions=sessions,
         traces=traces,
         slo=slo,
-        daemon=singles.get("daemon.json"),
-        drain=singles.get("drain.json"),
+        daemon=run.read(DAEMON),
+        drain=run.read(DRAIN),
         profile=run_profile,
-        baseline_profile=baseline_profile,
+        baseline_profile=run.read(BASELINE_PROFILE, Profile.from_dict),
     )
 
 
@@ -376,6 +208,5 @@ __all__ = [
     "SpanView",
     "SessionTrace",
     "RunModel",
-    "injectable_listing",
     "load_run",
 ]

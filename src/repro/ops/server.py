@@ -22,6 +22,7 @@ from urllib.parse import parse_qs, urlsplit
 from repro.ops.artifacts import RunModel
 from repro.ops.routes import RouteError, canonical_bytes, resolve
 from repro.ops.tail import JsonlTail, format_sse
+from repro.rundir import MERGED
 
 #: Default seconds between SSE polls of the trace file.
 DEFAULT_POLL_S = 0.5
@@ -145,7 +146,7 @@ class OpsServer:
                  max_events: Optional[int] = None):
         handler = type("BoundOpsHandler", (OpsHandler,), {
             "model": model,
-            "trace_path": os.path.join(run_dir, "trace.jsonl"),
+            "trace_path": os.path.join(run_dir, MERGED["trace"]),
             "cadence": staticmethod(cadence or _sleep_cadence),
             "max_events": max_events,
         })

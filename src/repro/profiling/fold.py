@@ -18,10 +18,10 @@ profile always says how complete it is.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Iterable, Mapping, Optional
 
 from repro.android.device import DeviceProfile
-from repro.core.observability import DROPPED_SPANS_COUNTER, op_cpu_ms
+from repro.core.observability import DROPPED_SPANS_COUNTER, SpanIndex
 from repro.profiling.profile import Profile, STACK_SEP
 
 #: Span attribute carrying the PlanProfiler per-step MAC attribution
@@ -60,45 +60,20 @@ def profile_from_spans(
     whose parent chain breaks (parent evicted before export) are rooted
     at the nearest surviving ancestor and counted as orphans.
     """
-    profile = profile or DeviceProfile()
-    costs = op_cpu_ms(profile)
+    return profile_from_index(SpanIndex.build(spans, profile),
+                              dropped_spans=dropped_spans)
+
+
+def profile_from_index(index: SpanIndex, dropped_spans: int = 0) -> Profile:
+    """:func:`profile_from_spans` over an already-built span index."""
     out = Profile()
     out.sessions = 1
     out.dropped_spans = int(dropped_spans)
-
-    records: List[Mapping[str, object]] = list(spans)
-    by_id: Dict[int, Mapping[str, object]] = {
-        int(span["span_id"]): span for span in records}  # type: ignore[arg-type]
-    stacks: Dict[int, Tuple[str, ...]] = {}
-    orphans: Dict[int, bool] = {}
-
-    def resolve(span_id: int) -> Tuple[str, ...]:
-        cached = stacks.get(span_id)
-        if cached is not None:
-            return cached
-        span = by_id[span_id]
-        parent = span.get("parent_id")
-        if parent is None:
-            stack: Tuple[str, ...] = (_segment(str(span["name"])),)
-            orphans[span_id] = False
-        elif int(parent) in by_id:  # type: ignore[arg-type]
-            stack = resolve(int(parent)) + (_segment(str(span["name"])),)  # type: ignore[arg-type]
-            orphans[span_id] = False
-        else:
-            # Parent evicted by the ring buffer: root here and say so.
-            stack = (_segment(str(span["name"])),)
-            orphans[span_id] = True
-        stacks[span_id] = stack
-        return stack
-
-    for span in records:
-        span_id = int(span["span_id"])  # type: ignore[arg-type]
-        stack = resolve(span_id)
-        if orphans[span_id]:
+    for pos, span in enumerate(index.spans):
+        stack = tuple(_segment(name) for name in index.paths[pos])
+        if index.orphan[pos]:
             out.orphan_spans += 1
-        span_us = _us(sum(
-            int(n) * costs[op]
-            for op, n in span.get("ops", {}).items()))  # type: ignore[union-attr]
+        span_us = _us(index.cpu_ms[pos])
         attributes = span.get("attributes", {})
         plan_ops = (attributes.get(PLAN_OPS_ATTR)
                     if isinstance(attributes, Mapping) else None)
@@ -115,6 +90,20 @@ def profile_from_spans(
             out.observe(stack, cpu_us=max(0, span_us - steps_us), count=1)
         else:
             out.observe(stack, cpu_us=span_us, count=1)
+    return out
+
+
+def profile_from_sessions(
+    indexes: Mapping[int, SpanIndex],
+    metrics: Mapping[int, Mapping[str, object]],
+) -> Profile:
+    """Fold per-session span indexes in session order, each with the
+    dropped-span count of its metrics snapshot (when there is one)."""
+    out = Profile()
+    for session in sorted(indexes):
+        out.merge(profile_from_index(
+            indexes[session],
+            dropped_spans=dropped_from_metrics(metrics.get(session, {}))))
     return out
 
 
@@ -139,6 +128,8 @@ def profile_from_results(results, profile: Optional[DeviceProfile] = None
 __all__ = [
     "PLAN_OPS_ATTR",
     "dropped_from_metrics",
+    "profile_from_index",
+    "profile_from_sessions",
     "profile_from_spans",
     "profile_from_result",
     "profile_from_results",

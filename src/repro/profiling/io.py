@@ -1,152 +1,66 @@
 """Load profiles from the places they live.
 
-``repro profile`` (and ``--diff``) accepts any of:
-
-- a **run directory** — ``profile.json`` if merged, else
-  ``shard-*.profile.json`` parts folded in sorted-name order, else the
-  raw ``trace.jsonl`` / ``shard-*.trace.jsonl`` spans folded on the
-  spot (with per-session dropped-span counts out of the metrics lines);
-- a **profile.json** file (or any JSON file with an embedded
-  :data:`~repro.profiling.profile.PROFILE_KEY` block, e.g. a
-  ``BENCH_*.json`` baseline);
-- a **span JSONL** file (``trace.jsonl`` dumps from ``repro trace``).
-
-Every fold path sorts its inputs (file names, session indices) before
-merging, so the loaded profile is byte-identical no matter how the
-directory listing enumerated shard parts — the same order-canonical
-contract as the ops dashboard loader.
+``repro profile`` (and ``--diff``) accepts a **run directory** (read
+through :mod:`repro.rundir`, like the ops dashboard: its merged or
+shard-part profiles, else its span dumps folded with each session's
+dropped-span count), a **profile.json** file (or any JSON file with an
+embedded :data:`~repro.profiling.profile.PROFILE_KEY` block, e.g. a
+``BENCH_*.json`` baseline), or a **span JSONL** file (``repro trace``).
+Every fold sorts its inputs, so the result is byte-identical however
+the directory listing enumerated the shard parts.
 """
 
 from __future__ import annotations
 
-import json
 import os
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional
 
 from repro.android.device import DeviceProfile
-from repro.profiling.fold import dropped_from_metrics, profile_from_spans
+from repro.core.observability import SpanIndex
+from repro.profiling.fold import profile_from_sessions
 from repro.profiling.profile import PROFILE_KEY, Profile
+from repro.rundir import RunDirectoryError, RunListing, read_json, read_spans
+
+#: The profiling name of the shared reader error: a source that is
+#: missing, unreadable, or not a profile.
+ProfileSourceError = RunDirectoryError
 
 
-class ProfileSourceError(ValueError):
-    """The profile source is missing, unreadable, or not a profile."""
-
-
-def _load_json(path: str) -> Mapping[str, object]:
-    try:
-        with open(path) as fp:
-            payload = json.load(fp)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ProfileSourceError(f"cannot read {path}: {exc}")
-    if not isinstance(payload, Mapping):
-        raise ProfileSourceError(f"{path}: expected a JSON object")
-    return payload
-
-
-def _profile_from_payload(path: str,
-                          payload: Mapping[str, object]) -> Profile:
+def _profile_from_payload(payload: Mapping[str, object]) -> Profile:
     if "frames" in payload:
-        source: object = payload
-    elif PROFILE_KEY in payload:
-        source = payload[PROFILE_KEY]
-    else:
-        raise ProfileSourceError(
-            f"{path}: neither a profile document nor a payload with a "
-            f"{PROFILE_KEY!r} block")
+        return Profile.from_dict(payload)
+    if PROFILE_KEY in payload:
+        return Profile.from_dict(payload[PROFILE_KEY])  # type: ignore[arg-type]
+    raise ValueError(f"neither a profile document nor a payload with a "
+                     f"{PROFILE_KEY!r} block")
+
+
+def _fold(spans: Dict[int, List[Dict[str, object]]],
+          metrics: Mapping[int, Mapping[str, object]],
+          device_profile: Optional[DeviceProfile]) -> Profile:
     try:
-        return Profile.from_dict(source)  # type: ignore[arg-type]
-    except (ValueError, TypeError, AttributeError) as exc:
-        raise ProfileSourceError(f"{path}: malformed profile ({exc})")
-
-
-def _read_jsonl(path: str) -> List[Mapping[str, object]]:
-    records: List[Mapping[str, object]] = []
-    try:
-        with open(path) as fp:
-            for lineno, line in enumerate(fp, 1):
-                if not line.strip():
-                    continue
-                try:
-                    record = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise ProfileSourceError(
-                        f"{path}:{lineno}: malformed JSONL ({exc})")
-                if not isinstance(record, dict):
-                    raise ProfileSourceError(
-                        f"{path}:{lineno}: expected an object per line")
-                records.append(record)
-    except OSError as exc:
-        raise ProfileSourceError(f"cannot read {path}: {exc}")
-    return records
-
-
-def _fold_span_records(records: List[Mapping[str, object]],
-                       dropped: Optional[Dict[int, int]] = None,
-                       device_profile: Optional[DeviceProfile] = None
-                       ) -> Profile:
-    """Group span lines by global session index and fold each session."""
-    by_session: Dict[int, List[Mapping[str, object]]] = {}
-    for record in records:
-        session = int(record.get("session", 0))  # type: ignore[arg-type]
-        span = {k: v for k, v in record.items() if k != "session"}
-        by_session.setdefault(session, []).append(span)
-    out = Profile()
-    for session in sorted(by_session):
-        out.merge(profile_from_spans(
-            by_session[session], profile=device_profile,
-            dropped_spans=(dropped or {}).get(session, 0)))
-    return out
-
-
-def _load_dir(run_dir: str,
-              device_profile: Optional[DeviceProfile]) -> Profile:
-    try:
-        listing = sorted(os.listdir(run_dir))
-    except OSError as exc:
-        raise ProfileSourceError(f"cannot list {run_dir}: {exc}")
-
-    merged = [n for n in listing if n == "profile.json"]
-    parts = [n for n in listing if n.startswith("shard-")
-             and n.endswith(".profile.json")]
-    if merged or parts:
-        out = Profile()
-        for name in merged + parts:
-            path = os.path.join(run_dir, name)
-            out.merge(_profile_from_payload(path, _load_json(path)))
-        return out
-
-    trace_parts = [n for n in listing
-                   if n == "trace.jsonl" or (n.startswith("shard-")
-                                             and n.endswith(".trace.jsonl"))]
-    if not trace_parts:
-        raise ProfileSourceError(
-            f"no profile or trace artifacts in {run_dir}")
-    records: List[Mapping[str, object]] = []
-    for name in trace_parts:
-        records.extend(_read_jsonl(os.path.join(run_dir, name)))
-    dropped: Dict[int, int] = {}
-    for name in listing:
-        if name == "metrics.jsonl" or (name.startswith("shard-")
-                                       and name.endswith(".metrics.jsonl")):
-            for record in _read_jsonl(os.path.join(run_dir, name)):
-                session = int(record.get("session", 0))  # type: ignore[arg-type]
-                metrics = record.get("metrics", {})
-                if isinstance(metrics, Mapping):
-                    dropped[session] = dropped_from_metrics(metrics)
-    return _fold_span_records(records, dropped, device_profile)
+        indexes = {session: SpanIndex.build(spans[session], device_profile)
+                   for session in spans}
+    except ValueError as exc:
+        raise ProfileSourceError(f"malformed span dump ({exc})")
+    return profile_from_sessions(indexes, metrics)
 
 
 def load_profile(source: str,
                  device_profile: Optional[DeviceProfile] = None) -> Profile:
     """Load a Profile from a run directory, JSON document, or span JSONL."""
     if os.path.isdir(source):
-        return _load_dir(source, device_profile)
-    if not os.path.exists(source):
-        raise ProfileSourceError(f"no such file or directory: {source}")
+        run = RunListing.scan(source)
+        if run.artifacts("profile"):
+            return run.fold(run.artifacts("profile"), Profile.from_dict,
+                            Profile())
+        if not run.artifacts("trace"):
+            raise ProfileSourceError(
+                f"no profile or trace artifacts in {source}")
+        return _fold(run.spans(), run.metrics(), device_profile)
     if source.endswith(".jsonl"):
-        return _fold_span_records(_read_jsonl(source),
-                                  device_profile=device_profile)
-    return _profile_from_payload(source, _load_json(source))
+        return _fold(read_spans([source]), {}, device_profile)
+    return read_json(source, _profile_from_payload)  # type: ignore[return-value]
 
 
 __all__ = ["ProfileSourceError", "load_profile"]

@@ -112,7 +112,7 @@ class TestSanitizers:
 
     def test_injectable_listing_result_is_clean(self, tmp_path):
         findings = analyze_source(tmp_path, """\
-            from repro.ops.artifacts import injectable_listing
+            from repro.rundir import injectable_listing
             from repro.ops.routes import canonical_bytes
 
             def emit(run_dir):

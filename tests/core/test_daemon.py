@@ -258,6 +258,48 @@ class TestKillResume:
         assert sorted(indices) == list(range(5))
         assert len(indices) == len(set(indices)), "double-counted a session"
 
+    def test_torn_journal_tail_resumes_byte_identical(self, fleet,
+                                                      tmp_path):
+        full, kr = tmp_path / "full", tmp_path / "kr"
+        config = in_capacity_config()
+        DarpaDaemon(fleet, "oracle", config=config, out_dir=str(full)).run()
+        killed = DarpaDaemon(fleet, "oracle", config=config,
+                             out_dir=str(kr)).run(max_batches=1)
+        assert killed.killed
+        journal = kr / "journal.jsonl"
+        lines = journal.read_text().splitlines(keepends=True)
+        assert len(lines) >= 2, "no session was journaled before the kill"
+        # The kill landed mid-append: the last entry lost its tail and
+        # its newline.  That session must re-run, not crash the resume.
+        journal.write_text("".join(lines[:-1]) + lines[-1][:5])
+        resumed = DarpaDaemon(fleet, "oracle", config=config,
+                              out_dir=str(kr)).run(resume=True)
+        assert resumed.completed
+        assert artifacts_equal(str(full), str(kr),
+                               names=ARTIFACTS + ("daemon.json",
+                                                  "drain.json"))
+        # The torn fragment was cut off, so later appends started on a
+        # fresh line and every session is journaled exactly once.
+        with open(journal) as fp:
+            records = [json.loads(line) for line in fp if line.strip()]
+        indices = [record["index"] for record in records[1:]]
+        assert sorted(indices) == list(range(len(fleet)))
+
+    @pytest.mark.parametrize("line", ['{"ind\n', '{"idx": 0}\n', '[0]\n'],
+                             ids=["torn", "no-index", "not-an-object"])
+    def test_malformed_interior_journal_line_raises(self, fleet, tmp_path,
+                                                    line):
+        out = tmp_path / "out"
+        config = in_capacity_config()
+        DarpaDaemon(fleet, "oracle", config=config,
+                    out_dir=str(out)).run(max_batches=1)
+        journal = out / "journal.jsonl"
+        lines = journal.read_text().splitlines(keepends=True)
+        journal.write_text(lines[0] + line + "".join(lines[1:]))
+        with pytest.raises(JournalError):
+            DarpaDaemon(fleet, "oracle", config=config,
+                        out_dir=str(out)).run(resume=True)
+
     def test_resume_refuses_foreign_journal(self, fleet, tmp_path):
         out = tmp_path / "out"
         DarpaDaemon(fleet, "oracle", config=in_capacity_config(),

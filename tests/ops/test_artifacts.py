@@ -2,6 +2,7 @@
 
 import json
 import os
+import shutil
 
 import pytest
 
@@ -68,6 +69,41 @@ class TestErrorPaths:
         write(str(tmp_path / "daemon.json"), "nope{")
         with pytest.raises(RunDirectoryError, match=r"daemon\.json"):
             load_run(str(tmp_path))
+
+    @pytest.mark.parametrize("name, damage", [
+        ("shard-000003.trace.jsonl", "directory"),
+        ("shard-000003.telemetry.json", b"[]\n"),
+        ("shard-000003.profile.json", b"[]\n"),
+        ("daemon.json", b'{"version": "\xff\xfe"}\n'),
+        ("shard-000003.trace.jsonl", b'{"session": 3, "name": "\xff"}\n'),
+        ("shard-000003.trace.jsonl", json.dumps(
+            {"session": 3, **{k: v for k, v in SPAN.items()
+                              if k != "span_id"}}).encode() + b"\n"),
+        ("shard-000003.trace.jsonl", json.dumps(
+            {"session": 3, **SPAN, "ops": {"teleport": 1}}).encode()
+            + b"\n"),
+        ("shard-000003.trace.jsonl", json.dumps(
+            {"session": 3, **SPAN, "parent_id": 1}).encode() + b"\n"),
+        ("shard-000003.metrics.jsonl", b'{"session": 3, "metrics": []}\n'),
+        ("shard-000003.telemetry.json", b'{"version": 1}\n'),
+    ], ids=["trace-part-is-dir", "telemetry-part-is-list",
+            "profile-part-is-list", "daemon-json-not-utf8",
+            "trace-part-not-utf8", "span-without-span-id",
+            "span-with-unknown-op", "span-is-own-parent",
+            "metrics-not-an-object", "telemetry-missing-fields"])
+    def test_damaged_fixture_artifact(self, tmp_path, name, damage):
+        # Every malformed input surfaces as RunDirectoryError (so `repro
+        # dash` exits 2 with a reason), never as a raw exception.
+        run_dir = tmp_path / "run"
+        shutil.copytree(RUN_DIR, run_dir)
+        target = run_dir / name
+        target.unlink()
+        if damage == "directory":
+            target.mkdir()
+        else:
+            target.write_bytes(damage)
+        with pytest.raises(RunDirectoryError):
+            load_run(str(run_dir))
 
 
 class TestMinimalDirectories:

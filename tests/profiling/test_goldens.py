@@ -4,7 +4,7 @@
 which also rewrites these goldens) folds to exactly the committed
 ``goldens/profile.json`` / ``goldens/profile.folded`` — from the shard
 parts, from any merge order over them, and through the ``repro
-profile`` CLI.  CI's profile-golden job diffs the same bytes.
+profile`` CLI.  CI's goldens job diffs the same bytes.
 """
 
 import json

@@ -1065,20 +1065,25 @@ class TestProfilingProperty:
     def test_sharded_profile_equals_merged_artifact(self, index, tmp_path):
         from repro.profiling import load_profile
 
+        from repro.ops.artifacts import load_run
+
         _, parts_dir, merged_dir = _ops_case(index, tmp_path)
         from_parts = load_profile(parts_dir)
         from_merged = load_profile(merged_dir)
         assert from_parts.to_json() == from_merged.to_json()
         assert from_parts.sessions == len(_ops_results())
+        # The dashboard and `repro profile` read the same run the same way.
+        for source in (parts_dir, merged_dir):
+            assert (load_run(source).profile.to_json()
+                    == load_profile(source).to_json())
 
     @pytest.mark.parametrize("index", range(N_PROFILING_CASES))
     def test_trace_refold_matches_shipped_profile(self, index, tmp_path):
         from repro.profiling import load_profile
-        from repro.profiling.io import _fold_span_records, _read_jsonl
 
         _, _, merged_dir = _ops_case(index, tmp_path)
-        records = _read_jsonl(os.path.join(merged_dir, "trace.jsonl"))
-        refolded = _fold_span_records(records)
+        # A span JSONL source is folded from its spans alone.
+        refolded = load_profile(os.path.join(merged_dir, "trace.jsonl"))
         # Dropped counts ride the metrics lines, not the trace; with no
         # drops in these runs the refold is bit-equal to the artifact.
         assert refolded.to_json() == load_profile(merged_dir).to_json()
