@@ -184,7 +184,7 @@ class AccessibilityService:
         else:
             canvas = render_screen(self.device.window_manager,
                                    noise_rng=self.device.rng)
-            pixels = canvas.to_array()
+            pixels = canvas.pixels
         return Screenshot(
             _pixels=pixels,
             taken_at_ms=self.device.clock.now_ms,

@@ -62,27 +62,42 @@ class ScreenFingerprintCache:
     def fingerprint(self, pixels: np.ndarray) -> bytes:
         """Perceptual hash of one (H, W) or (H, W, C) screenshot."""
         raw = np.asarray(pixels)
-        arr = raw.astype(np.float64)
-        if np.issubdtype(raw.dtype, np.integer):
-            arr /= 255.0  # normalize 8-bit rasters to the [0, 1] range
-        if arr.ndim == 2:
-            arr = arr[:, :, None]
-        if arr.ndim != 3:
-            raise ValueError(f"expected (H, W[, C]) pixels, got {arr.shape}")
-        h, w, _ = arr.shape
+        if raw.ndim == 2:
+            raw = raw[:, :, None]
+        if raw.ndim != 3:
+            raise ValueError(f"expected (H, W[, C]) pixels, got {raw.shape}")
+        if raw.size == 0:
+            # Every empty frame would share the key b"" and replay the
+            # detections of another.
+            raise ValueError(f"cannot fingerprint an empty frame {raw.shape}")
+        h, w, _ = raw.shape
         gy = min(self.grid, h)
         gx = min(self.grid, w)
         # Average-pool onto the (gy, gx) grid with near-equal cells.
         ys = np.linspace(0, h, gy + 1).astype(np.int64)
         xs = np.linspace(0, w, gx + 1).astype(np.int64)
-        # Row/column prefix sums make each cell mean O(1).
-        integral = arr.cumsum(axis=0).cumsum(axis=1)
-        padded = np.zeros((h + 1, w + 1, arr.shape[2]))
-        padded[1:, 1:] = integral
-        sums = (padded[ys[1:], :, :][:, xs[1:], :]
-                - padded[ys[1:], :, :][:, xs[:-1], :]
-                - padded[ys[:-1], :, :][:, xs[1:], :]
-                + padded[ys[:-1], :, :][:, xs[:-1], :])
+        # Prefix sums make each cell mean O(1).  Only the integral
+        # image's rows at the cell boundaries are read, so the column
+        # sums are accumulated row by row, in the order a full
+        # ``cumsum(axis=0)`` adds them (hence bit-identical to it), and
+        # only the boundary rows are kept and summed along x.
+        padded = np.zeros((gy + 1, w + 1, raw.shape[2]))
+        column = None
+        for j in range(gy):
+            band = raw[ys[j]:ys[j + 1]].astype(np.float64)
+            if np.issubdtype(raw.dtype, np.integer):
+                band /= 255.0  # normalize 8-bit rasters to the [0, 1] range
+            for row in band:
+                if column is None:
+                    column = row.copy()
+                else:
+                    column += row
+            padded[j + 1, 1:] = column
+        np.cumsum(padded[1:, 1:], axis=1, out=padded[1:, 1:])
+        sums = (padded[1:, :, :][:, xs[1:], :]
+                - padded[1:, :, :][:, xs[:-1], :]
+                - padded[:-1, :, :][:, xs[1:], :]
+                + padded[:-1, :, :][:, xs[:-1], :])
         areas = ((ys[1:] - ys[:-1])[:, None]
                  * (xs[1:] - xs[:-1])[None, :]).astype(np.float64)
         means = sums / areas[:, :, None]

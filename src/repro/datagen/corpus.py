@@ -103,7 +103,7 @@ def render_state(
     canvas = render_screen(wm, noise_rng=rng)
     offset = window.offset
     labels = [(role, rect.offset_by(offset)) for role, rect in state.label_boxes]
-    return canvas.to_array(), labels
+    return canvas.pixels, labels
 
 
 @dataclass

@@ -17,6 +17,10 @@ from repro.geometry.rect import Rect
 from repro.imaging.color import Color
 
 
+#: Rows of sensor noise drawn per ``rng.normal`` call in ``add_noise``.
+_NOISE_ROWS = 16
+
+
 class Canvas:
     """An ``(H, W, 3)`` float32 RGB raster with [0, 1] channels."""
 
@@ -25,9 +29,10 @@ class Canvas:
             raise ValueError("canvas dimensions must be positive")
         self.width = int(width)
         self.height = int(height)
-        self.pixels = np.zeros((self.height, self.width, 3), dtype=np.float32)
-        if background is not None:
-            self.pixels[:] = background.as_array()
+        # One pass over one buffer: fill the first row, copy it down.
+        self.pixels = np.empty((self.height, self.width, 3), dtype=np.float32)
+        self.pixels[0] = 0.0 if background is None else background.as_array()
+        self.pixels[1:] = self.pixels[0]
 
     # -- bookkeeping ---------------------------------------------------
 
@@ -63,7 +68,9 @@ class Canvas:
             return
         region = self.pixels[y0:y1, x0:x1]
         region *= 1.0 - alpha
-        region += alpha * color.as_array()
+        # The same float32 ink per pixel, laid out a whole row wide: a
+        # bare (3,) operand would make NumPy's inner loop 3 elements long.
+        region += np.tile(alpha * color.as_array(), (x1 - x0, 1))
 
     def _blend_mask(self, y0: int, y1: int, x0: int, x1: int, mask: np.ndarray,
                     color: Color, alpha: float) -> None:
@@ -75,6 +82,27 @@ class Canvas:
         region = self.pixels[y0:y1, x0:x1]
         region *= 1.0 - a
         region += a * color.as_array()
+
+    def blend_counts(self, y0: int, x0: int, counts: np.ndarray, color: Color,
+                     alpha: float) -> None:
+        """Blend ``color`` ``counts[i, j]`` times over pixel ``(y0+i, x0+j)``.
+
+        Bit-identical to that many ``fill_rect`` blends per pixel, but
+        with one vectorised blend per overlap depth instead of one per
+        rect.  ``counts`` must lie inside the canvas.
+        """
+        alpha = float(np.clip(alpha, 0.0, 1.0))
+        if alpha <= 0.0:
+            return
+        h, w = counts.shape
+        region = self.pixels[y0:y0 + h, x0:x0 + w]
+        ink = alpha * color.as_array()
+        for depth in range(1, int(counts.max(initial=0)) + 1):
+            covered = counts >= depth
+            layer = region[covered]
+            layer *= 1.0 - alpha
+            layer += ink
+            region[covered] = layer
 
     # -- primitives ---------------------------------------------------------
 
@@ -172,9 +200,22 @@ class Canvas:
         region += alpha * grad
 
     def add_noise(self, rng: np.random.Generator, scale: float = 0.01) -> None:
-        """Sensor/compression-like noise so screens aren't perfectly flat."""
-        noise = rng.normal(0.0, scale, size=self.pixels.shape).astype(np.float32)
-        self.pixels = np.clip(self.pixels + noise, 0.0, 1.0)
+        """Sensor/compression-like noise so screens aren't perfectly flat.
+
+        Applied in place, one block of rows at a time.  ``Generator.normal``
+        carries no spare draw from one call to the next (unlike the
+        legacy ``RandomState``), so drawing the noise block by block in
+        row order yields the same values, and leaves ``rng`` in the same
+        state, as one full-frame draw; the float64 draws just never need
+        a full-frame buffer.
+        """
+        noise = np.empty((_NOISE_ROWS, self.width, 3), dtype=np.float32)
+        for y0 in range(0, self.height, _NOISE_ROWS):
+            block = self.pixels[y0:y0 + _NOISE_ROWS]
+            chunk = noise[:len(block)]
+            chunk[...] = rng.normal(0.0, scale, size=chunk.shape)
+            np.add(block, chunk, out=block)
+            np.clip(block, 0.0, 1.0, out=block)
 
     # -- sampling -----------------------------------------------------------
 

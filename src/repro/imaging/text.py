@@ -11,6 +11,10 @@ linguistic content, which is exactly the signal a CV detector sees.
 
 from __future__ import annotations
 
+import math
+from functools import lru_cache
+from typing import List, Optional, Tuple
+
 import numpy as np
 
 from repro.geometry.rect import Rect
@@ -31,25 +35,43 @@ def pseudo_text_width(text: str, size: float) -> float:
     return n * size * _GLYPH_ASPECT + (n - 1) * size * _GLYPH_GAP
 
 
-def _glyph_bars(char: str) -> np.ndarray:
+@lru_cache(maxsize=512)
+def _glyph_bars(char: str) -> Tuple[bool, ...]:
     """A deterministic 5x3 on/off stroke pattern for a character.
 
-    Spaces render empty.  Other characters hash their code point into a
-    pattern with 6-10 lit cells, giving text-like stroke density.
+    Row-major, 15 cells.  Spaces render empty.  Other characters hash
+    their code point into a pattern with 6-10 lit cells, giving
+    text-like stroke density.  Memoised: the tuple is immutable, so a
+    cached pattern cannot be corrupted by a caller.
     """
     if char.isspace():
-        return np.zeros((5, 3), dtype=bool)
+        return (False,) * 15
     code = ord(char)
     # A tiny splitmix-style scrambler keeps patterns well distributed.
     state = (code * 0x9E3779B1 + 0x85EBCA6B) & 0xFFFFFFFF
     bits = []
     for _ in range(15):
         state = (state * 0x2545F491 + 0x343FD) & 0xFFFFFFFF
-        bits.append((state >> 16) & 1)
-    pattern = np.array(bits, dtype=bool).reshape(5, 3)
+        bits.append(bool((state >> 16) & 1))
     # Guarantee visible mass: force the middle row on.
-    pattern[2, :] = True
-    return pattern
+    bits[6:9] = [True, True, True]
+    return tuple(bits)
+
+
+def _cell_span(start: float, length: float, limit: int) -> Optional[Tuple[int, int]]:
+    """Pixel span ``[p0, p1)`` of one glyph cell along one axis.
+
+    The exact arithmetic of ``Canvas.fill_rect`` — ``Rect.intersection``
+    with the canvas bounds, then ``Canvas._clip`` — which is separable
+    by axis: a cell covers pixels iff both its axes do.
+    """
+    lo = max(start, 0)
+    hi = min(start + length, limit)
+    if hi <= lo:
+        return None
+    p0 = max(0, math.floor(lo))
+    p1 = min(limit, math.ceil(lo + (hi - lo)))
+    return (p0, p1) if p1 > p0 else None
 
 
 def draw_pseudo_text(
@@ -64,7 +86,10 @@ def draw_pseudo_text(
     """Draw ``text`` with its top-left at ``(x, y)``; returns its bounds.
 
     ``size`` is the text height in pixels.  Glyphs are drawn as 5x3 cell
-    grids of filled blocks.
+    grids of filled blocks.  The pixels are exactly those of one
+    ``fill_rect`` per lit cell: each pixel is blended once per lit cell
+    that covers it (cells of one call share colour and alpha, so the
+    order of those blends does not matter).
     """
     if size <= 0:
         raise ValueError("text size must be positive")
@@ -73,17 +98,45 @@ def draw_pseudo_text(
     gap = size * _GLYPH_GAP
     cell_h = size / 5.0
     cell_w = glyph_w / 3.0
+    bounds = Rect(x, y, pseudo_text_width(text, size), size)
+    rows: List[int] = []
+    row_spans: List[Tuple[int, int]] = []
+    for row in range(5):
+        span = _cell_span(y + row * cell_h, cell_h, canvas.height)
+        if span is not None:
+            rows.append(row)
+            row_spans.append(span)
+    # One entry per on-canvas glyph column: its span and its 5 cells.
+    col_spans: List[Tuple[int, int]] = []
+    col_cells: List[Tuple[bool, ...]] = []
     for char in text:
         pattern = _glyph_bars(char)
-        for row in range(5):
+        if any(pattern):
             for col in range(3):
-                if pattern[row, col]:
-                    canvas.fill_rect(
-                        Rect(cursor + col * cell_w, y + row * cell_h,
-                             cell_w, cell_h),
-                        color,
-                        alpha=alpha,
-                    )
+                span = _cell_span(cursor + col * cell_w, cell_w, canvas.width)
+                if span is not None:
+                    col_spans.append(span)
+                    col_cells.append(pattern[col::3])
         cursor += glyph_w + gap
-    width = pseudo_text_width(text, size)
-    return Rect(x, y, width, size)
+    if not rows or not col_spans:
+        return bounds
+    y0 = min(s[0] for s in row_spans)
+    y1 = max(s[1] for s in row_spans)
+    x0 = min(s[0] for s in col_spans)
+    x1 = max(s[1] for s in col_spans)
+    # Coverage count: how many lit cells cover each pixel.  Per glyph
+    # row, a difference array over the column spans, summed along x;
+    # then each row's line is added over that row's pixel span.  All
+    # integer, so no BLAS call (and no BLAS thread) on the render path.
+    lit = np.array(col_cells, dtype=np.int64)[:, rows].T
+    starts = np.array([s[0] for s in col_spans]) - x0
+    stops = np.array([s[1] for s in col_spans]) - x0
+    steps = np.zeros((len(rows), x1 - x0 + 1), dtype=np.int64)
+    np.add.at(steps, (slice(None), starts), lit)
+    np.subtract.at(steps, (slice(None), stops), lit)
+    lines = np.cumsum(steps[:, :-1], axis=1)
+    counts = np.zeros((y1 - y0, x1 - x0), dtype=np.int64)
+    for (p0, p1), line in zip(row_spans, lines):
+        counts[p0 - y0:p1 - y0] += line
+    canvas.blend_counts(y0, x0, counts, color, alpha)
+    return bounds

@@ -49,6 +49,97 @@ class TestFingerprint:
         assert cache.fingerprint(np.zeros((4, 3, 3)))  # below grid size
 
 
+def _reference_fingerprint(cache, pixels):
+    """The original full-frame integral-image fingerprint."""
+    raw = np.asarray(pixels)
+    arr = raw.astype(np.float64)
+    if np.issubdtype(raw.dtype, np.integer):
+        arr /= 255.0
+    if arr.ndim == 2:
+        arr = arr[:, :, None]
+    h, w, _ = arr.shape
+    gy, gx = min(cache.grid, h), min(cache.grid, w)
+    ys = np.linspace(0, h, gy + 1).astype(np.int64)
+    xs = np.linspace(0, w, gx + 1).astype(np.int64)
+    integral = arr.cumsum(axis=0).cumsum(axis=1)
+    padded = np.zeros((h + 1, w + 1, arr.shape[2]))
+    padded[1:, 1:] = integral
+    sums = (padded[ys[1:], :, :][:, xs[1:], :]
+            - padded[ys[1:], :, :][:, xs[:-1], :]
+            - padded[ys[:-1], :, :][:, xs[1:], :]
+            + padded[ys[:-1], :, :][:, xs[:-1], :])
+    areas = ((ys[1:] - ys[:-1])[:, None]
+             * (xs[1:] - xs[:-1])[None, :]).astype(np.float64)
+    means = sums / areas[:, :, None]
+    return np.clip(np.floor(means * cache.levels + 0.5), 0,
+                   cache.levels - 1).astype(np.uint8).tobytes()
+
+
+def _frame(shape, dtype, seed):
+    rng = np.random.default_rng(seed)
+    if np.issubdtype(dtype, np.integer):
+        return rng.integers(0, 256, size=shape).astype(dtype)
+    # Palette-like flat steps plus sensor-like noise, as in real screens.
+    return (np.round(rng.random(shape) * 32) / 32
+            + rng.normal(0, 1e-3, shape)).astype(dtype)
+
+
+class TestFingerprintMatchesIntegralImageReference:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64, np.uint8])
+    @pytest.mark.parametrize("shape", [
+        (640, 360, 3),   # the simulated phone screen
+        (97, 61, 3),     # H and W not multiples of the grid
+        (33, 200, 3),
+        (7, 40, 3),      # grid > H
+        (5, 3, 3),       # grid > H and > W
+        (50, 50, 1),
+        (101, 45),       # 2-D frame
+        (1, 1),
+    ])
+    def test_bytes_equal(self, dtype, shape):
+        frame = _frame(shape, dtype, seed=sum(shape))
+        cache = ScreenFingerprintCache()
+        assert cache.fingerprint(frame) == _reference_fingerprint(cache, frame)
+
+    @pytest.mark.parametrize("grid,levels", [(1, 2), (3, 7), (16, 32),
+                                             (40, 256)])
+    def test_other_grids_and_levels(self, grid, levels):
+        frame = _frame((123, 77, 3), np.float32, seed=grid)
+        cache = ScreenFingerprintCache(grid=grid, levels=levels)
+        assert cache.fingerprint(frame) == _reference_fingerprint(cache, frame)
+
+    def test_seeded_random_frames(self):
+        rng = np.random.default_rng(99)
+        cache = ScreenFingerprintCache()
+        for i in range(40):
+            shape = (int(rng.integers(1, 90)), int(rng.integers(1, 90)), 3)
+            dtype = [np.float32, np.float64, np.uint8][i % 3]
+            frame = _frame(shape, dtype, seed=i)
+            assert cache.fingerprint(frame) == _reference_fingerprint(cache, frame)
+
+    def test_input_frame_is_not_modified(self):
+        frame = _frame((64, 48, 3), np.float32, seed=1)
+        before = frame.copy()
+        ScreenFingerprintCache().fingerprint(frame)
+        assert np.array_equal(frame.view(np.uint32), before.view(np.uint32))
+
+
+class TestEmptyFrames:
+    @pytest.mark.parametrize("shape", [(0, 5, 3), (5, 0, 3), (0, 0),
+                                       (4, 4, 0), (0, 7)])
+    def test_zero_size_frames_are_rejected(self, shape):
+        # Every empty frame used to fingerprint to b"", so they shared
+        # one cache key and replayed each other's detections.
+        cache = ScreenFingerprintCache()
+        with pytest.raises(ValueError):
+            cache.fingerprint(np.zeros(shape, dtype=np.float32))
+
+    @pytest.mark.parametrize("shape", [(5,), (2, 2, 2, 3)])
+    def test_bad_ranks_are_rejected(self, shape):
+        with pytest.raises(ValueError):
+            ScreenFingerprintCache().fingerprint(np.zeros(shape))
+
+
 class TestLru:
     def test_hit_and_miss_counting(self):
         cache = ScreenFingerprintCache(capacity=4)

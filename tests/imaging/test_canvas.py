@@ -143,3 +143,70 @@ class TestNoiseAndSampling:
     def test_sample_mean_offscreen_is_black(self, canvas):
         mean = canvas.sample_mean(Rect(1000, 1000, 5, 5))
         assert mean == Color(0, 0, 0)
+
+
+# -- reference equivalence ---------------------------------------------------
+
+
+def _reference_add_noise(canvas, rng, scale):
+    """The original full-frame formula ``add_noise`` must reproduce."""
+    noise = rng.normal(0.0, scale, size=canvas.pixels.shape).astype(np.float32)
+    canvas.pixels = np.clip(canvas.pixels + noise, 0.0, 1.0)
+
+
+class TestNoiseMatchesFullFrameReference:
+    @pytest.mark.parametrize("w,h", [(100, 80), (37, 23), (5, 40), (64, 16),
+                                     (3, 1), (360, 33)])
+    @pytest.mark.parametrize("scale", [0.0, 0.008, 0.3])
+    def test_pixels_and_rng_stream(self, w, h, scale):
+        base = np.random.default_rng(w * h).random((h, w, 3))
+        fast = Canvas.from_array(base)
+        ref = fast.copy()
+        rng_fast = np.random.default_rng(11)
+        rng_ref = np.random.default_rng(11)
+        fast.add_noise(rng_fast, scale=scale)
+        _reference_add_noise(ref, rng_ref, scale)
+        assert fast.pixels.dtype == np.float32
+        assert np.array_equal(fast.pixels.view(np.uint32),
+                              ref.pixels.view(np.uint32))
+        # The generator is left exactly where the full-frame draw left it.
+        assert rng_fast.normal() == rng_ref.normal()
+
+    def test_noise_is_applied_in_place(self, canvas):
+        buffer = canvas.pixels
+        canvas.add_noise(np.random.default_rng(3), scale=0.05)
+        assert canvas.pixels is buffer
+
+
+class TestConstructionMatchesZeroThenFill:
+    @pytest.mark.parametrize("background", [None, WHITE, PALETTE["red"],
+                                            Color(0.1, 0.2, 0.3)])
+    def test_background_buffer(self, background):
+        canvas = Canvas(13, 7, background=background)
+        want = np.zeros((7, 13, 3), dtype=np.float32)
+        if background is not None:
+            want[:] = background.as_array()
+        assert canvas.pixels.dtype == np.float32
+        assert np.array_equal(canvas.pixels.view(np.uint32),
+                              want.view(np.uint32))
+
+
+class TestBlendCounts:
+    def test_matches_one_fill_rect_per_count(self):
+        rng = np.random.default_rng(5)
+        counts = rng.integers(0, 4, size=(6, 9))
+        fast = Canvas.from_array(rng.random((20, 30, 3)))
+        ref = fast.copy()
+        fast.blend_counts(4, 7, counts, PALETTE["blue"], 0.45)
+        for (i, j), n in np.ndenumerate(counts):
+            for _ in range(n):
+                ref.fill_rect(Rect(7 + j, 4 + i, 1, 1), PALETTE["blue"],
+                              alpha=0.45)
+        assert np.array_equal(fast.pixels.view(np.uint32),
+                              ref.pixels.view(np.uint32))
+
+    def test_zero_counts_and_zero_alpha_are_noops(self, canvas):
+        before = canvas.to_array()
+        canvas.blend_counts(0, 0, np.zeros((4, 4), dtype=np.int64), BLACK, 1.0)
+        canvas.blend_counts(0, 0, np.ones((4, 4), dtype=np.int64), BLACK, 0.0)
+        assert np.array_equal(canvas.pixels, before)

@@ -140,3 +140,105 @@ class TestPseudoText:
         canvas = Canvas(10, 10)
         with pytest.raises(ValueError):
             draw_pseudo_text(canvas, "x", 0, 0, 0, BLACK)
+
+
+# -- reference equivalence ---------------------------------------------------
+#
+# The per-cell loop below is the original pseudo-text renderer: one
+# ``fill_rect`` per lit glyph cell.  ``draw_pseudo_text`` must reproduce
+# its pixels bit for bit.
+
+
+def _reference_glyph_bars(char):
+    if char.isspace():
+        return np.zeros((5, 3), dtype=bool)
+    state = (ord(char) * 0x9E3779B1 + 0x85EBCA6B) & 0xFFFFFFFF
+    bits = []
+    for _ in range(15):
+        state = (state * 0x2545F491 + 0x343FD) & 0xFFFFFFFF
+        bits.append((state >> 16) & 1)
+    pattern = np.array(bits, dtype=bool).reshape(5, 3)
+    pattern[2, :] = True
+    return pattern
+
+
+def _reference_draw_pseudo_text(canvas, text, x, y, size, color, alpha=1.0):
+    cursor = x
+    glyph_w = size * 0.62
+    gap = size * 0.14
+    cell_h = size / 5.0
+    cell_w = glyph_w / 3.0
+    for char in text:
+        pattern = _reference_glyph_bars(char)
+        for row in range(5):
+            for col in range(3):
+                if pattern[row, col]:
+                    canvas.fill_rect(
+                        Rect(cursor + col * cell_w, y + row * cell_h,
+                             cell_w, cell_h),
+                        color, alpha=alpha)
+        cursor += glyph_w + gap
+    return Rect(x, y, pseudo_text_width(text, size), size)
+
+
+def _noisy_canvas(seed, w=97, h=61):
+    rng = np.random.default_rng(seed)
+    return Canvas.from_array(rng.random((h, w, 3)).astype(np.float32))
+
+
+def _assert_text_bit_identical(text, x, y, size, alpha, seed=0,
+                               color=PALETTE["red"]):
+    fast = _noisy_canvas(seed)
+    ref = fast.copy()
+    got = draw_pseudo_text(fast, text, x, y, size, color, alpha=alpha)
+    want = _reference_draw_pseudo_text(ref, text, x, y, size, color,
+                                       alpha=alpha)
+    assert got == want
+    assert np.array_equal(fast.pixels.view(np.uint32),
+                          ref.pixels.view(np.uint32))
+
+
+class TestPseudoTextMatchesPerCellReference:
+    @pytest.mark.parametrize("text,x,y,size,alpha", [
+        # fractional cells: neighbours share a pixel column and row
+        ("Subscribe now", 3.3, 7.71, 7.7, 1.0),
+        ("WWWW", 0.45, 0.45, 13.3, 0.37),
+        ("close", 10.9, 20.2, 21.4, 0.83),
+        # partly off-canvas on every side, and fully off-canvas
+        ("overflowing label", -12.6, -3.2, 11.1, 0.5),
+        ("edge", 80.3, 52.7, 14.0, 0.9),
+        ("gone", 200.0, 10.0, 12.0, 1.0),
+        ("gone", 10.0, -40.0, 12.0, 1.0),
+        # whitespace, the empty string, and sub-pixel sizes
+        ("   ", 5.0, 5.0, 10.0, 1.0),
+        ("a b\tc", 5.5, 5.5, 10.0, 0.6),
+        ("", 5.0, 5.0, 10.0, 1.0),
+        ("tiny", 4.2, 9.9, 0.6, 0.7),
+        ("tinier", 4.0, 9.0, 0.05, 1.0),
+        # alpha is clipped to [0, 1] exactly as fill_rect clips it
+        ("clip", 2.0, 2.0, 9.0, 1.7),
+        ("none", 2.0, 2.0, 9.0, 0.0),
+        ("none", 2.0, 2.0, 9.0, -0.5),
+        # integer geometry: no shared pixels at all
+        ("grid", 4, 4, 15, 1.0),
+    ])
+    def test_cases(self, text, x, y, size, alpha):
+        _assert_text_bit_identical(text, x, y, size, alpha)
+
+    def test_seeded_random_calls(self):
+        rng = np.random.default_rng(2024)
+        alphabet = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789 .,!?-"
+        for i in range(150):
+            n = int(rng.integers(0, 14))
+            text = "".join(rng.choice(list(alphabet), size=n))
+            size = float(rng.choice([rng.uniform(0.2, 1.5),
+                                     rng.uniform(1.5, 40.0)]))
+            x = float(rng.uniform(-30.0, 110.0))
+            y = float(rng.uniform(-20.0, 70.0))
+            alpha = float(rng.choice([1.0, rng.uniform(0.0, 1.0)]))
+            _assert_text_bit_identical(text, x, y, size, alpha, seed=i)
+
+    def test_repeated_calls_share_glyph_patterns_safely(self):
+        # Memoised glyph patterns must not leak state between calls.
+        for _ in range(3):
+            _assert_text_bit_identical("aaaa", 1.5, 1.5, 9.5, 0.4)
