@@ -8,8 +8,9 @@ implements the paper's detection machinery from scratch on NumPy:
 - :mod:`repro.vision.yolo` — *TinyYOLO*, a one-stage grid detector in
   the spirit of the paper's YOLOv5 (objectness + class + box heads per
   cell, confidence thresholding, NMS);
-- :mod:`repro.vision.refine` — classical edge-snap refinement that
-  sharpens regressed boxes to the strict IoU=0.9 evaluation regime;
+- :mod:`repro.vision.refine` — classical region-snap refinement that
+  sharpens regressed boxes to the strict IoU=0.9 evaluation regime
+  (a gradient edge snap is kept for the ablation);
 - :mod:`repro.vision.rcnn` — two-stage Faster/Mask-RCNN-style baselines
   with "VGG16"/"ResNet50" classical feature backbones (Table V);
 - :mod:`repro.vision.porting` — the ncnn-like mobile port: BN constant

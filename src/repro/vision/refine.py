@@ -22,11 +22,17 @@ Two strategies are provided:
 
 Both degrade to "return the regressed box unchanged" when the image
 offers no usable structure, so refinement never invents detections.
+
+:func:`refine_detection_box` runs several region snaps per box, many
+of them over the same search window, so one call shares each window's
+color statistics and distance maps between its snaps.  The results
+are bit-identical to running every snap from scratch
+(``tests/vision/test_refine_reference.py``).
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Dict, NamedTuple, Optional
 
 import numpy as np
 from scipy import ndimage
@@ -55,11 +61,11 @@ def _plausible(pred: Rect, probe: Rect, refined: Rect) -> bool:
     return True
 
 
-def _iterate_snap(image: np.ndarray, start: Rect, iterations: int,
+def _iterate_snap(snapper: "_RegionSnapper", start: Rect, iterations: int,
                   **kwargs) -> Rect:
     current = start
     for _ in range(max(1, iterations)):
-        nxt = snap_box_to_region(image, current, **kwargs)
+        nxt = snapper.snap(current, **kwargs)
         if nxt == current:
             break
         current = nxt
@@ -84,23 +90,27 @@ def refine_detection_box(
     bridging, tight color distance) snap — and the first result passing
     the :func:`_plausible` gate wins.  When everything fails the raw
     box is returned: refinement must never invent detections.
+
+    ``image`` must be an ``(H, W, 3)`` frame (``ValueError`` otherwise);
+    a zero-size frame returns ``rect`` unchanged.
     """
+    snapper = _RegionSnapper(image)
     candidates = []
-    first = _iterate_snap(image, rect, iterations)
+    first = _iterate_snap(snapper, rect, iterations)
     if first != rect:
         candidates.append((rect, first))
     side_w = float(np.clip(rect.w, min_probe, max_probe))
     side_h = float(np.clip(rect.h, min_probe, max_probe))
     probe = Rect.from_center(*rect.center, side_w, side_h)
     if rect.w < 90 and rect.h < 90:
-        second = _iterate_snap(image, probe, iterations)
+        second = _iterate_snap(snapper, probe, iterations)
         if second != probe:
             candidates.append((probe, second))
-        third = _iterate_snap(image, probe, iterations,
+        third = _iterate_snap(snapper, probe, iterations,
                               max_seed_dist=0.22, bridge_gaps=False)
         if third != probe:
             candidates.append((probe, third))
-        fourth = _iterate_snap(image, probe, iterations,
+        fourth = _iterate_snap(snapper, probe, iterations,
                                max_seed_dist=0.5, expand_frac=0.75)
         if fourth != probe:
             candidates.append((probe, fourth))
@@ -123,121 +133,224 @@ def snap_box_to_region(
     bridge_gaps: bool = True,
     grad: Optional[np.ndarray] = None,
 ) -> Rect:
-    """Refine ``rect`` to the extent of the color region under it."""
+    """Refine ``rect`` to the extent of the color region under it.
+
+    ``image`` must be an ``(H, W, 3)`` frame (``ValueError`` otherwise);
+    a zero-size frame returns ``rect`` unchanged.
+    """
     del grad  # unused; accepted for interface parity with the edge snap
-    h, w = image.shape[:2]
-    r = rect.clipped_to(Rect(0, 0, w, h))
-    if r.is_empty() or r.w < 3 or r.h < 3:
-        return rect
+    return _RegionSnapper(image).snap(rect, expand_frac, max_seed_dist,
+                                      bridge_gaps)
 
-    pad_x = max(4, int(r.w * expand_frac))
-    pad_y = max(4, int(r.h * expand_frac))
-    x0 = max(0, int(r.left) - pad_x)
-    x1 = min(w, int(np.ceil(r.right)) + pad_x)
-    y0 = max(0, int(r.top) - pad_y)
-    y1 = min(h, int(np.ceil(r.bottom)) + pad_y)
-    window = image[y0:y1, x0:x1].astype(np.float32)
-    wh, ww = window.shape[:2]
-    if wh < 6 or ww < 6:
-        return rect
 
-    # Widget colors: buttons are "background fill + icon/text strokes",
-    # so a single center sample would hit the stroke and segment only
-    # the glyph.  Take two seeds — the central patch (stroke color) and
-    # a mid-radius annulus (fill color) — and accept a pixel when it is
-    # close to either.
-    cx = int(r.center[0]) - x0
-    cy = int(r.center[1]) - y0
-    sx = max(1, int(r.w * 0.18))
-    sy = max(1, int(r.h * 0.18))
-    patch = window[max(0, cy - sy):cy + sy + 1, max(0, cx - sx):cx + sx + 1]
-    seed_center = np.median(patch.reshape(-1, 3), axis=0)
-    annulus = _annulus_pixels(window, cx, cy, r.w, r.h)
-    seed_fill = (np.median(annulus.reshape(-1, 3), axis=0)
-                 if annulus.size else seed_center)
+class _Window(NamedTuple):
+    """Colour statistics of one search window, shared by every strategy."""
 
-    # Background: median color of a ring hugging the predicted box
-    # (local surroundings, not the far window border — UI backgrounds
-    # change across a dialog card boundary).
-    ring_pixels = _ring_pixels(window, cx, cy, r.w, r.h)
-    if ring_pixels.size == 0:
-        return rect
-    bg = np.median(ring_pixels.reshape(-1, 3), axis=0)
+    x0: int
+    y0: int
+    cx: int  # predicted center, in window coordinates
+    cy: int
+    sx: int  # half-extent of the central seed patch
+    sy: int
+    closer: np.ndarray  # d_seed < d_bg
+    d_seed: np.ndarray  # distance to the nearest usable seed color
 
-    sep_center = float(np.linalg.norm(seed_center - bg))
-    sep_fill = float(np.linalg.norm(seed_fill - bg))
-    if max(sep_center, sep_fill) < 0.05:
-        return rect  # widget is indistinguishable from its surroundings
 
-    d_bg = np.linalg.norm(window - bg, axis=-1)
-    d_seed = np.full_like(d_bg, np.inf)
-    for seed, sep in ((seed_center, sep_center), (seed_fill, sep_fill)):
-        if sep >= 0.05:  # a seed equal to the background segments nothing
-            d_seed = np.minimum(d_seed,
-                                np.linalg.norm(window - seed, axis=-1))
-    mask = (d_seed < d_bg) & (d_seed < max_seed_dist)
+class _RegionSnapper:
+    """Region snaps over one frame, sharing work between snaps.
 
-    if bridge_gaps:
-        # Bridge small gaps (icon strokes, text glyphs inside widgets).
-        mask = ndimage.binary_closing(mask, structure=np.ones((3, 3)))
-    labeled, n_regions = ndimage.label(mask)
-    if n_regions == 0:
-        return rect
-    target = labeled[min(cy, wh - 1), min(cx, ww - 1)]
-    if target == 0:
-        # Center fell on an icon stroke; take the largest component that
-        # overlaps the central patch.
-        sub = labeled[max(0, cy - sy):cy + sy + 1, max(0, cx - sx):cx + sx + 1]
-        counts = np.bincount(sub.reshape(-1), minlength=n_regions + 1)
-        counts[0] = 0
-        if counts.max() == 0:
+    A search window is fixed by the clipped box and ``expand_frac``.
+    Its seed and background colors and its distance maps are computed
+    once and reused by every snap on that window, whatever
+    ``max_seed_dist`` or ``bridge_gaps`` it asks for; component boxes
+    are memoised per (window, strategy).  One instance serves a single
+    :func:`refine_detection_box` or :func:`snap_box_to_region` call, so
+    nothing is cached across frames.
+    """
+
+    def __init__(self, image: np.ndarray) -> None:
+        if image.size and (image.ndim != 3 or image.shape[2] != 3):
+            raise ValueError("box refinement expects an (H, W, 3) frame, "
+                             f"got shape {image.shape}")
+        h, w = image.shape[:2]
+        self._image = image
+        self._bounds = Rect(0, 0, w, h)
+        self._windows: Dict[tuple, Optional[_Window]] = {}
+        self._boxes: Dict[tuple, Optional[Rect]] = {}
+
+    def snap(self, rect: Rect, expand_frac: float = 0.55,
+             max_seed_dist: float = 0.38, bridge_gaps: bool = True) -> Rect:
+        r = rect.clipped_to(self._bounds)
+        if r.is_empty() or r.w < 3 or r.h < 3:
             return rect
-        target = int(np.argmax(counts))
+        key = (r, expand_frac, max_seed_dist, bridge_gaps)
+        if key not in self._boxes:
+            self._boxes[key] = self._component_box(
+                r, expand_frac, max_seed_dist, bridge_gaps)
+        refined = self._boxes[key]
+        # Reject drastic collapses/explosions — the regressor is coarse but
+        # not wrong by more than the search window.
+        if (refined is None or refined.area < 0.2 * rect.area
+                or refined.area > 5.0 * rect.area):
+            return rect
+        return refined
 
-    ys, xs = np.where(labeled == target)
-    # A component bleeding across the search window on both axes is the
-    # background itself, not the widget.
-    spans_x = xs.min() == 0 and xs.max() == ww - 1
-    spans_y = ys.min() == 0 and ys.max() == wh - 1
-    if spans_x and spans_y:
-        return rect
-    refined = Rect.from_corners(x0 + xs.min(), y0 + ys.min(),
-                                x0 + xs.max() + 1, y0 + ys.max() + 1)
-    # Reject drastic collapses/explosions — the regressor is coarse but
-    # not wrong by more than the search window.
-    if refined.area < 0.2 * rect.area or refined.area > 5.0 * rect.area:
-        return rect
-    return refined
+    def _window(self, r: Rect, expand_frac: float) -> Optional[_Window]:
+        key = (r, expand_frac)
+        if key not in self._windows:
+            self._windows[key] = self._measure(r, expand_frac)
+        return self._windows[key]
+
+    def _measure(self, r: Rect, expand_frac: float) -> Optional[_Window]:
+        h, w = self._image.shape[:2]
+        pad_x = max(4, int(r.w * expand_frac))
+        pad_y = max(4, int(r.h * expand_frac))
+        x0 = max(0, int(r.left) - pad_x)
+        x1 = min(w, int(np.ceil(r.right)) + pad_x)
+        y0 = max(0, int(r.top) - pad_y)
+        y1 = min(h, int(np.ceil(r.bottom)) + pad_y)
+        # Channel planes, so each color distance is a few contiguous
+        # plane operations rather than a reduction over the last axis.
+        planes = self._image[y0:y1, x0:x1].transpose(2, 0, 1).astype(
+            np.float32, order="C")
+        wh, ww = planes.shape[1:]
+        if wh < 6 or ww < 6:
+            return None
+
+        # Widget colors: buttons are "background fill + icon/text strokes",
+        # so a single center sample would hit the stroke and segment only
+        # the glyph.  Take two seeds — the central patch (stroke color) and
+        # a mid-radius annulus (fill color) — and accept a pixel when it is
+        # close to either.
+        cx = int(r.center[0]) - x0
+        cy = int(r.center[1]) - y0
+        sx = max(1, int(r.w * 0.18))
+        sy = max(1, int(r.h * 0.18))
+        patch = planes[:, max(0, cy - sy):cy + sy + 1,
+                       max(0, cx - sx):cx + sx + 1]
+        seed_center = np.median(patch.reshape(3, -1), axis=1)
+        # Annulus: between ~55% and ~85% of the box half-extent — the
+        # fill region of a button, outside any central icon/text strokes.
+        in_x, in_y = int(r.w * 0.28), int(r.h * 0.28)
+        annulus = _ring(planes, cx, cy, in_x, in_y,
+                        max(in_x + 1, int(r.w * 0.42)),
+                        max(in_y + 1, int(r.h * 0.42)))
+        seed_fill = (np.median(annulus, axis=1)
+                     if annulus.size else seed_center)
+
+        # Background: median color of a thin ring just outside the
+        # predicted box (local surroundings, not the far window border —
+        # UI backgrounds change across a dialog card boundary).
+        in_x, in_y = int(r.w * 0.62), int(r.h * 0.62)
+        ring = _ring(planes, cx, cy, in_x, in_y,
+                     in_x + max(2, int(r.w * 0.2)),
+                     in_y + max(2, int(r.h * 0.2)))
+        if ring.size == 0:
+            return None
+        bg = np.median(ring, axis=1)
+
+        # A seed equal to the background segments nothing; with neither
+        # seed usable the widget is indistinguishable from its surroundings.
+        seeds = [seed for seed in (seed_center, seed_fill)
+                 if float(np.linalg.norm(seed - bg)) >= 0.05]
+        if not seeds:
+            return None
+        d_seed = _distance(planes, seeds[0])
+        for seed in seeds[1:]:
+            np.minimum(d_seed, _distance(planes, seed), out=d_seed)
+        closer = d_seed < _distance(planes, bg)
+        return _Window(x0, y0, cx, cy, sx, sy, closer, d_seed)
+
+    def _component_box(self, r: Rect, expand_frac: float,
+                       max_seed_dist: float,
+                       bridge_gaps: bool) -> Optional[Rect]:
+        """Bounding box of the seed-colored component under the center,
+        or ``None`` when the window offers no usable structure."""
+        win = self._window(r, expand_frac)
+        if win is None:
+            return None
+        mask = win.closer & (win.d_seed < max_seed_dist)
+        if bridge_gaps:
+            # Bridge small gaps (icon strokes, text glyphs inside widgets).
+            mask = _close3x3(mask)
+        labeled, n_regions = ndimage.label(mask)
+        if n_regions == 0:
+            return None
+        wh, ww = mask.shape
+        cx, cy, sx, sy = win.cx, win.cy, win.sx, win.sy
+        target = labeled[min(cy, wh - 1), min(cx, ww - 1)]
+        if target == 0:
+            # Center fell on an icon stroke; take the largest component that
+            # overlaps the central patch.
+            sub = labeled[max(0, cy - sy):cy + sy + 1,
+                          max(0, cx - sx):cx + sx + 1]
+            counts = np.bincount(sub.reshape(-1), minlength=n_regions + 1)
+            counts[0] = 0
+            if counts.max() == 0:
+                return None
+            target = int(np.argmax(counts))
+
+        component = labeled == target
+        rows = np.flatnonzero(component.any(axis=1))
+        cols = np.flatnonzero(component.any(axis=0))
+        top, bottom = int(rows[0]), int(rows[-1])
+        left, right = int(cols[0]), int(cols[-1])
+        # A component bleeding across the search window on both axes is the
+        # background itself, not the widget.
+        if left == 0 and right == ww - 1 and top == 0 and bottom == wh - 1:
+            return None
+        return Rect.from_corners(win.x0 + left, win.y0 + top,
+                                 win.x0 + right + 1, win.y0 + bottom + 1)
 
 
-def _annulus_pixels(window: np.ndarray, cx: int, cy: int,
-                    box_w: float, box_h: float) -> np.ndarray:
-    """Pixels between ~55% and ~85% of the box half-extent — the fill
-    region of a button, outside any central icon/text strokes."""
-    wh, ww = window.shape[:2]
-    in_x, in_y = int(box_w * 0.28), int(box_h * 0.28)
-    out_x, out_y = max(in_x + 1, int(box_w * 0.42)), max(in_y + 1, int(box_h * 0.42))
-    ys = np.arange(wh)[:, None]
-    xs = np.arange(ww)[None, :]
-    outside_inner = (np.abs(xs - cx) > in_x) | (np.abs(ys - cy) > in_y)
-    inside_outer = (np.abs(xs - cx) <= out_x) & (np.abs(ys - cy) <= out_y)
-    return window[outside_inner & inside_outer]
+def _ring(planes: np.ndarray, cx: int, cy: int, in_x: int, in_y: int,
+          out_x: int, out_y: int) -> np.ndarray:
+    """``(3, N)`` pixels within ``out_x``/``out_y`` of ``(cx, cy)`` but
+    outside the box within ``in_x``/``in_y``, in row-major order: the
+    outer box's slice with the inner box blanked out."""
+    ox0, oy0 = max(0, cx - out_x), max(0, cy - out_y)
+    outer = planes[:, oy0:cy + out_y + 1, ox0:cx + out_x + 1]
+    keep = np.ones(outer.shape[1:], dtype=bool)
+    keep[max(0, cy - in_y - oy0):cy + in_y + 1 - oy0,
+         max(0, cx - in_x - ox0):cx + in_x + 1 - ox0] = False
+    return outer[:, keep]
 
 
-def _ring_pixels(window: np.ndarray, cx: int, cy: int,
-                 box_w: float, box_h: float) -> np.ndarray:
-    """Pixels in a thin ring just outside the predicted box."""
-    wh, ww = window.shape[:2]
-    inner_x = int(box_w * 0.62)
-    inner_y = int(box_h * 0.62)
-    outer_x = inner_x + max(2, int(box_w * 0.2))
-    outer_y = inner_y + max(2, int(box_h * 0.2))
-    ys = np.arange(wh)[:, None]
-    xs = np.arange(ww)[None, :]
-    outside_inner = (np.abs(xs - cx) > inner_x) | (np.abs(ys - cy) > inner_y)
-    inside_outer = (np.abs(xs - cx) <= outer_x) & (np.abs(ys - cy) <= outer_y)
-    sel = outside_inner & inside_outer
-    return window[sel]
+def _distance(planes: np.ndarray, color: np.ndarray) -> np.ndarray:
+    """Per-pixel Euclidean distance to ``color``.
+
+    Bit-equal to ``np.linalg.norm(window - color, axis=-1)`` on the
+    interleaved window: the same float32 squares summed in the same
+    order, ``(d0² + d1²) + d2²``, without the strided reduction.
+    """
+    acc = planes[0] - color[0]
+    acc *= acc
+    term = planes[1] - color[1]
+    term *= term
+    acc += term
+    np.subtract(planes[2], color[2], out=term)
+    term *= term
+    acc += term
+    return np.sqrt(acc, out=acc)
+
+
+def _close3x3(mask: np.ndarray) -> np.ndarray:
+    """Binary closing with a 3x3 square, bit-equal to
+    ``ndimage.binary_closing(mask, structure=np.ones((3, 3)))``.
+
+    Both passes are separable and read a zero-padded copy, matching
+    scipy's ``border_value=0``: the dilation sees background outside the
+    frame, and so does the erosion, which therefore clears the border.
+    """
+    h, w = mask.shape
+    padded = np.zeros((h + 2, w + 2), dtype=bool)
+    padded[1:-1, 1:-1] = mask
+    rows = padded[:, :-2] | padded[:, 1:-1]
+    rows |= padded[:, 2:]
+    padded[1:-1, 1:-1] = rows[:-2] | rows[1:-1] | rows[2:]
+    rows = padded[:, :-2] & padded[:, 1:-1]
+    rows &= padded[:, 2:]
+    return rows[:-2] & rows[1:-1] & rows[2:]
 
 
 def _best_line(profile: np.ndarray, lo: int, hi: int, anchor: int,
