@@ -1,9 +1,9 @@
 """Micro-benchmarks of the hot kernels.
 
 These use pytest-benchmark's repeated timing (no pedantic one-shots):
-the conv forward pass, the IoU matrix, NMS, screen rendering, and the
-end-to-end per-frame detection latency that the paper's overhead model
-depends on.  The execution-mode sweep additionally persists its timings
+the conv forward pass, the IoU matrix, NMS, screen rendering, the
+detector-input resize, box refinement, and the end-to-end per-frame
+detection latency that the paper's overhead model depends on.  The execution-mode sweep additionally persists its timings
 to ``BENCH_kernels.json`` at the repository root (override the
 directory with ``DARPA_BENCH_OUT``; the payload carries a provenance
 manifest), so the serving-path speedup is machine-checkable across
@@ -21,24 +21,31 @@ from repro.android import Device, View, render_screen
 from repro.bench import evaluate_detector, print_table
 from repro.bench.kernels import run_kernel_bench
 from repro.datagen import build_aui_screen
+from repro.datagen.corpus import render_state
 from repro.datagen.specs import AuiType, SampleSpec
 from repro.geometry import Rect, ScoredBox, non_max_suppression, pairwise_iou
 from repro.imaging.color import PALETTE
+from repro.imaging.filters import resize
 from repro.vision import DeployConfig, PortConfig, TinyYolo, YoloConfig, port_model
-from repro.vision.dataset import to_input_tensor
+from repro.vision.dataset import INPUT_H, INPUT_W, to_input_tensor
 from repro.vision.nn import Conv2D
+from repro.vision.refine import refine_detection_box
 from repro.wallclock import monotonic_ms
 
 
 @pytest.fixture(scope="module")
-def screen_image():
+def rendered_screen():
+    """(pixels, labels) of one rendered AUI screen."""
     spec = SampleSpec(index=0, aui_type=AuiType.ADVERTISEMENT, has_ago=True,
                       n_upo=1, ago_central=True, upo_corner=True,
                       fullscreen=False, first_party=False, hard_upo=False,
                       style_seed=99)
-    from repro.datagen.corpus import render_state
-    img, _ = render_state(build_aui_screen(spec))
-    return img
+    return render_state(build_aui_screen(spec))
+
+
+@pytest.fixture(scope="module")
+def screen_image(rendered_screen):
+    return rendered_screen[0]
 
 
 def test_micro_conv_forward(benchmark):
@@ -75,6 +82,26 @@ def test_micro_render_screen(benchmark):
     device.window_manager.attach_app_window(root, "com.demo")
     canvas = benchmark(lambda: render_screen(device.window_manager))
     assert canvas.pixels.shape == (640, 360, 3)
+
+
+def test_micro_resize(benchmark, screen_image):
+    """Detector-input resize, 640x360x3 -> 128x72."""
+    small = benchmark(lambda: resize(screen_image, INPUT_H, INPUT_W))
+    assert small.shape == (INPUT_H, INPUT_W, 3)
+
+
+def test_micro_refine_box(benchmark, rendered_screen):
+    """Box refinement of the screen's label rects, each shifted and
+    resized as a coarse grid regressor leaves it (no trained model)."""
+    image, labels = rendered_screen
+    rng = np.random.default_rng(0)
+    rects = [Rect.from_center(rect.center[0] + rng.uniform(-0.1, 0.1) * rect.w,
+                              rect.center[1] + rng.uniform(-0.1, 0.1) * rect.h,
+                              rect.w * rng.uniform(0.8, 1.3),
+                              rect.h * rng.uniform(0.8, 1.3))
+             for _, rect in labels]
+    refined = benchmark(lambda: [refine_detection_box(image, r) for r in rects])
+    assert len(refined) == len(rects) >= 2
 
 
 def test_micro_detect_screen_latency(benchmark, trained_model, screen_image):

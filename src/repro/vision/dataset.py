@@ -59,9 +59,15 @@ class DetectionDataset:
 
 
 def to_input_tensor(screen_image: np.ndarray) -> np.ndarray:
-    """One native screenshot (H, W, 3) -> (3, INPUT_H, INPUT_W) tensor."""
+    """One native screenshot (H, W, 3) -> (3, INPUT_H, INPUT_W) tensor.
+
+    Raises ``ValueError`` for any other frame shape.
+    """
+    if screen_image.ndim != 3 or screen_image.shape[2] != 3:
+        raise ValueError("detector input expects an (H, W, 3) frame, "
+                         f"got shape {screen_image.shape}")
     small = resize(screen_image, INPUT_H, INPUT_W)
-    return np.ascontiguousarray(small.transpose(2, 0, 1)).astype(np.float32)
+    return np.ascontiguousarray(small.transpose(2, 0, 1))
 
 
 def input_rect_to_screen(rect: Rect) -> Rect:

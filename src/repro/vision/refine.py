@@ -40,6 +40,9 @@ from scipy import ndimage
 from repro.geometry.rect import Rect
 from repro.imaging.filters import gradient_magnitude
 
+#: ``ndimage.label``'s default structure, built once instead of per call.
+_FOUR_CONNECTED = ndimage.generate_binary_structure(2, 1)
+
 
 def _plausible(pred: Rect, probe: Rect, refined: Rect) -> bool:
     """Sanity gate on a refinement result.
@@ -228,15 +231,14 @@ class _RegionSnapper:
         sy = max(1, int(r.h * 0.18))
         patch = planes[:, max(0, cy - sy):cy + sy + 1,
                        max(0, cx - sx):cx + sx + 1]
-        seed_center = np.median(patch.reshape(3, -1), axis=1)
+        seed_center = _median(patch.reshape(3, -1))
         # Annulus: between ~55% and ~85% of the box half-extent — the
         # fill region of a button, outside any central icon/text strokes.
         in_x, in_y = int(r.w * 0.28), int(r.h * 0.28)
         annulus = _ring(planes, cx, cy, in_x, in_y,
                         max(in_x + 1, int(r.w * 0.42)),
                         max(in_y + 1, int(r.h * 0.42)))
-        seed_fill = (np.median(annulus, axis=1)
-                     if annulus.size else seed_center)
+        seed_fill = _median(annulus) if annulus.size else seed_center
 
         # Background: median color of a thin ring just outside the
         # predicted box (local surroundings, not the far window border —
@@ -247,7 +249,7 @@ class _RegionSnapper:
                      in_y + max(2, int(r.h * 0.2)))
         if ring.size == 0:
             return None
-        bg = np.median(ring, axis=1)
+        bg = _median(ring)
 
         # A seed equal to the background segments nothing; with neither
         # seed usable the widget is indistinguishable from its surroundings.
@@ -273,7 +275,7 @@ class _RegionSnapper:
         if bridge_gaps:
             # Bridge small gaps (icon strokes, text glyphs inside widgets).
             mask = _close3x3(mask)
-        labeled, n_regions = ndimage.label(mask)
+        labeled, n_regions = ndimage.label(mask, structure=_FOUR_CONNECTED)
         if n_regions == 0:
             return None
         wh, ww = mask.shape
@@ -306,14 +308,42 @@ class _RegionSnapper:
 def _ring(planes: np.ndarray, cx: int, cy: int, in_x: int, in_y: int,
           out_x: int, out_y: int) -> np.ndarray:
     """``(3, N)`` pixels within ``out_x``/``out_y`` of ``(cx, cy)`` but
-    outside the box within ``in_x``/``in_y``, in row-major order: the
-    outer box's slice with the inner box blanked out."""
+    outside the box within ``in_x``/``in_y``: the outer box's slice
+    minus the inner box, as four slabs (the bands above and below the
+    inner box, then its two side strips).  Only the pixel order differs
+    from masking the inner box out, and a median ignores order."""
     ox0, oy0 = max(0, cx - out_x), max(0, cy - out_y)
     outer = planes[:, oy0:cy + out_y + 1, ox0:cx + out_x + 1]
-    keep = np.ones(outer.shape[1:], dtype=bool)
-    keep[max(0, cy - in_y - oy0):cy + in_y + 1 - oy0,
-         max(0, cx - in_x - ox0):cx + in_x + 1 - ox0] = False
-    return outer[:, keep]
+    h, w = outer.shape[1:]
+    # The inner box's rows and columns, with NumPy's slice clipping.
+    top, bottom, _ = slice(max(0, cy - in_y - oy0),
+                           cy + in_y + 1 - oy0).indices(h)
+    left, right, _ = slice(max(0, cx - in_x - ox0),
+                           cx + in_x + 1 - ox0).indices(w)
+    bottom, right = max(bottom, top), max(right, left)  # empty: blanks nothing
+    slabs = (outer[:, :top], outer[:, bottom:],
+             outer[:, top:bottom, :left], outer[:, top:bottom, right:])
+    return np.concatenate([slab.reshape(3, -1) for slab in slabs], axis=1)
+
+
+def _median(pixels: np.ndarray) -> np.ndarray:
+    """Per-channel median of ``(3, N)`` float32 pixels (N >= 1), bit-equal
+    to NumPy's median along axis 1, from one selection per channel.
+
+    NumPy partitions at ``[k - 1, k, -1]`` (the ``-1`` only probes for
+    NaN) and averages the middle pair as ``(lo + (hi + 0.0)) / 2`` in
+    float32, its sum starting from ``+0.0``; the lower middle of an even
+    set is the largest element left of ``k``.
+    """
+    n = pixels.shape[1]
+    k = n // 2
+    part = np.partition(pixels, k, axis=1)
+    mid = part[:, k] + np.float32(0.0)
+    if n % 2 == 0:
+        mid += part[:, :k].max(axis=1)
+        mid /= np.float32(2)
+    mid[np.isnan(pixels).any(axis=1)] = np.nan
+    return mid
 
 
 def _distance(planes: np.ndarray, color: np.ndarray) -> np.ndarray:
