@@ -17,8 +17,30 @@ from repro.geometry.rect import Rect
 from repro.imaging.color import Color
 
 
-#: Rows of sensor noise drawn per ``rng.normal`` call in ``add_noise``.
-_NOISE_ROWS = 16
+#: Rows of sensor noise per ``rng.normal`` call and per add-and-clip.
+NOISE_ROWS = 16
+
+
+def draw_noise(rng: np.random.Generator, out: np.ndarray, scale: float) -> None:
+    """Fill ``out`` (float32, ``(rows, W, 3)``) with sensor noise.
+
+    One ``rng.normal(0.0, scale)`` call per block of rows, in row order.
+    ``Generator.normal`` carries no spare draw from one call to the next
+    (unlike the legacy ``RandomState``), so any split into blocks yields
+    the same values, and leaves ``rng`` in the same state, as one
+    full-frame draw; the float64 draws never need a full-frame buffer.
+    """
+    for y0 in range(0, len(out), NOISE_ROWS):
+        chunk = out[y0:y0 + NOISE_ROWS]
+        chunk[...] = rng.normal(0.0, scale, size=chunk.shape)
+
+
+def apply_noise(pixels: np.ndarray, noise: np.ndarray) -> None:
+    """Add ``noise`` to ``pixels`` in place, clipped to [0, 1], by blocks."""
+    for y0 in range(0, len(pixels), NOISE_ROWS):
+        block = pixels[y0:y0 + NOISE_ROWS]
+        np.add(block, noise[y0:y0 + NOISE_ROWS], out=block)
+        np.clip(block, 0.0, 1.0, out=block)
 
 
 class Canvas:
@@ -202,20 +224,17 @@ class Canvas:
     def add_noise(self, rng: np.random.Generator, scale: float = 0.01) -> None:
         """Sensor/compression-like noise so screens aren't perfectly flat.
 
-        Applied in place, one block of rows at a time.  ``Generator.normal``
-        carries no spare draw from one call to the next (unlike the
-        legacy ``RandomState``), so drawing the noise block by block in
-        row order yields the same values, and leaves ``rng`` in the same
-        state, as one full-frame draw; the float64 draws just never need
-        a full-frame buffer.
+        Applied in place, one block of rows at a time: each block is
+        :func:`draw_noise` into a block-sized buffer, then
+        :func:`apply_noise`.  The values and the generator's final state
+        are those of one full-frame draw.
         """
-        noise = np.empty((_NOISE_ROWS, self.width, 3), dtype=np.float32)
-        for y0 in range(0, self.height, _NOISE_ROWS):
-            block = self.pixels[y0:y0 + _NOISE_ROWS]
+        noise = np.empty((NOISE_ROWS, self.width, 3), dtype=np.float32)
+        for y0 in range(0, self.height, NOISE_ROWS):
+            block = self.pixels[y0:y0 + NOISE_ROWS]
             chunk = noise[:len(block)]
-            chunk[...] = rng.normal(0.0, scale, size=chunk.shape)
-            np.add(block, chunk, out=block)
-            np.clip(block, 0.0, 1.0, out=block)
+            draw_noise(rng, chunk, scale)
+            apply_noise(block, chunk)
 
     # -- sampling -----------------------------------------------------------
 

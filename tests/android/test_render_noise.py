@@ -1,0 +1,464 @@
+"""Sensor noise drawn on a helper thread while the window stack rasterises.
+
+``render_screen`` must give the same pixels, and leave the noise
+generator in the same state, as rasterising first and then adding the
+full-frame noise (the reference below, the formula
+``tests/imaging/test_canvas.py`` keeps).  These tests cover corpus
+screens (windowed, full-screen, with overlays), the hand-over of the
+rows a helper has not reached, the idle-core check, the inline path a
+render takes when no core is idle or another render holds the helper,
+the error paths, stub screenshots, and a fork child of a process that
+has rendered.
+"""
+
+import multiprocessing
+import sys
+import threading
+
+import numpy as np
+import pytest
+
+import repro.android.renderer as renderer
+import repro.imaging.canvas as canvas_module
+from repro.android import Device, LayoutParams, Screen, View, WindowManager
+from repro.android.accessibility import AccessibilityService
+from repro.android.renderer import render_screen
+from repro.datagen import build_corpus
+from repro.geometry import Rect
+from repro.imaging.canvas import NOISE_ROWS, apply_noise, draw_noise
+from repro.imaging.color import PALETTE
+
+SCALE = 0.008
+
+
+def _reference(wm, rng, scale=SCALE):
+    """Rasterise with no noise, then the original full-frame formula."""
+    pixels = render_screen(wm).pixels
+    noise = rng.normal(0.0, scale, size=pixels.shape).astype(np.float32)
+    return np.clip(pixels + noise, 0.0, 1.0)
+
+
+def _bits(pixels):
+    return np.ascontiguousarray(pixels).view(np.uint32)
+
+
+def _same_generator(a, b):
+    return (a.bit_generator.state == b.bit_generator.state
+            and a.normal() == b.normal())
+
+
+def _slot_is_free():
+    if not renderer._NoiseDraw._slot.acquire(blocking=False):
+        return False
+    renderer._NoiseDraw._slot.release()
+    return True
+
+
+#: The real idle-core check; the fixture below stands it in for the
+#: tests that need the helper whatever else the test process runs (a
+#: BLAS worker still spinning after an earlier test's GEMM, say).
+_REAL_CORE_IDLE = renderer._core_idle
+
+
+@pytest.fixture(autouse=True)
+def idle_core(monkeypatch):
+    monkeypatch.setattr(renderer, "_core_idle", lambda: True)
+
+
+@pytest.fixture(scope="module")
+def corpus():
+    return build_corpus(seed=0, n_negatives=4)
+
+
+def _window_manager(state, overlays=0):
+    wm = WindowManager(Screen())
+    wm.attach_app_window(state.root, "com.dataset.render",
+                         fullscreen=state.fullscreen)
+    for k in range(overlays):
+        view = View(bounds=Rect(0, 0, 1, 1), bg_color=PALETTE["red"],
+                    bg_alpha=0.5)
+        wm.add_view(view, LayoutParams(x=20 + 40 * k, y=60, width=90,
+                                       height=30), "com.darpa")
+    return wm
+
+
+def _states(corpus):
+    """Windowed and full-screen corpus screens, AUI and negative."""
+    states = [s.screen for s in corpus.samples[:12]] + list(corpus.negatives)
+    kinds = {s.fullscreen for s in states}
+    assert kinds == {True, False}, "corpus slice lacks a layout kind"
+    return states
+
+
+class TestMatchesSequentialReference:
+    @pytest.mark.parametrize("overlays", [0, 2])
+    def test_corpus_screens(self, corpus, overlays):
+        for i, state in enumerate(_states(corpus)):
+            wm = _window_manager(state, overlays)
+            rng, ref_rng = np.random.default_rng(i), np.random.default_rng(i)
+            got = render_screen(wm, noise_rng=rng, noise_scale=SCALE).pixels
+            want = _reference(wm, ref_rng)
+            assert got.dtype == np.float32
+            assert np.array_equal(_bits(got), _bits(want)), i
+            assert _same_generator(rng, ref_rng), i
+        assert _slot_is_free()
+
+    def test_one_generator_across_frames(self, corpus):
+        # A device's generator feeds every screenshot in turn.
+        rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
+        for state in _states(corpus)[:6]:
+            wm = _window_manager(state, overlays=1)
+            got = render_screen(wm, noise_rng=rng).pixels
+            assert np.array_equal(_bits(got), _bits(_reference(wm, ref_rng)))
+        assert _same_generator(rng, ref_rng)
+
+    @pytest.mark.parametrize("h,w", [(1, 3), (23, 37), (16, 5), (33, 360),
+                                     (640, 360)])
+    def test_full_frame_draw_then_apply(self, h, w):
+        base = np.random.default_rng(h * w).random((h, w, 3),
+                                                   dtype=np.float32)
+        rng, ref_rng = np.random.default_rng(9), np.random.default_rng(9)
+        noise = np.empty((h, w, 3), dtype=np.float32)
+        draw_noise(rng, noise, 0.3)
+        got = base.copy()
+        apply_noise(got, noise)
+        want = np.clip(base + ref_rng.normal(0.0, 0.3, size=base.shape)
+                       .astype(np.float32), 0.0, 1.0)
+        assert np.array_equal(_bits(got), _bits(want))
+        assert _same_generator(rng, ref_rng)
+
+
+def _record_draw_threads(monkeypatch):
+    """Spy on ``draw_noise`` (helper and inline callers); return the
+    set of threads that drew."""
+    threads = set()
+    real = canvas_module.draw_noise
+
+    def spy(rng, out, scale):
+        threads.add(threading.current_thread())
+        real(rng, out, scale)
+
+    monkeypatch.setattr(renderer, "draw_noise", spy)
+    monkeypatch.setattr(canvas_module, "draw_noise", spy)
+    return threads
+
+
+class TestHelperThread:
+    def test_helper_draws_while_the_raster_runs(self, corpus, monkeypatch):
+        # The raster waits until the helper has drawn every row, so the
+        # rendering thread is left only an empty slice to draw.
+        wm = _window_manager(corpus.samples[0].screen)
+        height = wm.screen.height
+        rows = {}
+        done = threading.Event()
+        real_draw, real_tree = renderer.draw_noise, renderer.render_view_tree
+
+        def spy(rng, out, scale):
+            real_draw(rng, out, scale)
+            me = threading.current_thread()
+            rows[me] = rows.get(me, 0) + len(out)
+            if rows[me] == height:
+                done.set()
+
+        def waiting_tree(canvas, root, offset):
+            assert done.wait(timeout=60)
+            real_tree(canvas, root, offset)
+
+        monkeypatch.setattr(renderer, "draw_noise", spy)
+        monkeypatch.setattr(renderer, "render_view_tree", waiting_tree)
+        rng, ref_rng = np.random.default_rng(0), np.random.default_rng(0)
+        got = render_screen(wm, noise_rng=rng).pixels
+        me = threading.current_thread()
+        helpers = [t for t in rows if t is not me]
+        assert len(helpers) == 1 and rows[helpers[0]] == height
+        assert rows.get(me, 0) == 0
+        assert np.array_equal(_bits(got), _bits(_reference(wm, ref_rng)))
+        assert _same_generator(rng, ref_rng)
+        assert _slot_is_free()
+
+    def test_rendering_thread_draws_the_rows_left(self, corpus, monkeypatch):
+        # A helper held up on its second block (as on a core shared with
+        # other work) hands the rest of the frame to the rendering thread.
+        wm = _window_manager(corpus.samples[0].screen, overlays=1)
+        rows = {}
+        raster_done = threading.Event()
+        real_draw, real_raster = renderer.draw_noise, renderer._rasterise
+
+        def spy(rng, out, scale):
+            me = threading.current_thread()
+            if me is not main and rows.get(me):
+                assert raster_done.wait(timeout=60)
+            real_draw(rng, out, scale)
+            rows[me] = rows.get(me, 0) + len(out)
+
+        def raster(wm, canvas):
+            real_raster(wm, canvas)
+            raster_done.set()
+
+        main = threading.current_thread()
+        monkeypatch.setattr(renderer, "draw_noise", spy)
+        monkeypatch.setattr(renderer, "_rasterise", raster)
+        rng, ref_rng = np.random.default_rng(6), np.random.default_rng(6)
+        got = render_screen(wm, noise_rng=rng).pixels
+        helper_rows = sum(n for t, n in rows.items() if t is not main)
+        assert helper_rows == 2 * NOISE_ROWS
+        assert rows[main] == wm.screen.height - helper_rows
+        assert np.array_equal(_bits(got), _bits(_reference(wm, ref_rng)))
+        assert _same_generator(rng, ref_rng)
+        assert _slot_is_free()
+
+    def test_helpers_reuse_one_frame_buffer(self, corpus):
+        wm = _window_manager(corpus.samples[0].screen)
+        render_screen(wm, noise_rng=np.random.default_rng(1))
+        frame = renderer._NoiseDraw._frame
+        assert frame is not None and frame.shape == (640, 360, 3)
+        render_screen(_window_manager(corpus.samples[1].screen),
+                      noise_rng=np.random.default_rng(2))
+        assert renderer._NoiseDraw._frame is frame
+        small = WindowManager(Screen(width=100, height=200))
+        small.attach_app_window(View(bounds=Rect(0, 0, 100, 128),
+                                     bg_color=PALETTE["white"]), "com.demo")
+        rng, ref_rng = np.random.default_rng(3), np.random.default_rng(3)
+        got = render_screen(small, noise_rng=rng).pixels
+        assert renderer._NoiseDraw._frame.shape == (200, 100, 3)
+        assert np.array_equal(_bits(got), _bits(_reference(small, ref_rng)))
+
+    def test_no_noise_starts_no_helper(self, corpus, monkeypatch):
+        threads = _record_draw_threads(monkeypatch)
+        render_screen(_window_manager(corpus.samples[0].screen))
+        assert threads == set()
+
+    def test_screenshot_draws_from_the_device_generator(self, corpus):
+        device = Device(seed=3)
+        state = corpus.samples[3].screen
+        device.window_manager.attach_app_window(state.root, "com.demo",
+                                                fullscreen=state.fullscreen)
+        shot = AccessibilityService(device).take_screenshot()
+        ref_rng = np.random.default_rng(3)
+        want = _reference(device.window_manager, ref_rng)
+        assert np.array_equal(_bits(shot.pixels), _bits(want))
+        assert _same_generator(device.rng, ref_rng)
+
+    def test_stub_screenshot_starts_no_helper(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("stub screenshot started a noise draw")
+
+        monkeypatch.setattr(renderer._NoiseDraw, "start", refuse)
+        device = Device(seed=3)
+        before = device.rng.bit_generator.state
+        shot = AccessibilityService(device).take_screenshot(stub=True)
+        assert shot.pixels.shape == (1, 1, 3)
+        assert device.rng.bit_generator.state == before
+
+
+class TestIdleCoreCheck:
+    def test_calling_thread_fills_a_single_cpu(self, monkeypatch):
+        monkeypatch.setattr(renderer.os, "sched_getaffinity", lambda pid: {0})
+        assert _REAL_CORE_IDLE() is False
+        monkeypatch.setattr(renderer.os, "sched_getaffinity",
+                            lambda pid: set(range(4096)))
+        assert _REAL_CORE_IDLE() is True
+
+    def test_running_and_sleeping_threads(self):
+        assert renderer._thread_running(str(threading.get_native_id()))
+        release = threading.Event()
+        sleeper = threading.Thread(target=release.wait, args=(60,))
+        sleeper.start()
+        try:
+            tid = str(sleeper.native_id)
+            for _ in range(1000):
+                if not renderer._thread_running(tid):
+                    break
+                release.wait(0.01)
+            assert not renderer._thread_running(tid)
+        finally:
+            release.set()
+            sleeper.join(timeout=60)
+        assert not sleeper.is_alive()
+        # A thread that has exited is not running.
+        assert not renderer._thread_running(tid)
+
+    def test_without_cpu_affinity_no_core_is_idle(self, monkeypatch):
+        monkeypatch.delattr(renderer.os, "sched_getaffinity")
+        assert _REAL_CORE_IDLE() is False
+
+    def test_no_idle_core_draws_inline(self, corpus, monkeypatch):
+        monkeypatch.setattr(renderer, "_core_idle", lambda: False)
+        threads = _record_draw_threads(monkeypatch)
+        wm = _window_manager(corpus.samples[1].screen)
+        rng, ref_rng = np.random.default_rng(8), np.random.default_rng(8)
+        got = render_screen(wm, noise_rng=rng).pixels
+        assert threads == {threading.current_thread()}
+        assert np.array_equal(_bits(got), _bits(_reference(wm, ref_rng)))
+        assert _same_generator(rng, ref_rng)
+        assert _slot_is_free()
+
+
+class TestBusyHelperDrawsInline:
+    def test_taken_slot_draws_on_the_rendering_thread(self, corpus,
+                                                      monkeypatch):
+        threads = _record_draw_threads(monkeypatch)
+        wm = _window_manager(corpus.samples[1].screen, overlays=1)
+        rng, ref_rng = np.random.default_rng(4), np.random.default_rng(4)
+        slot = renderer._NoiseDraw._slot
+        assert slot.acquire(blocking=False)
+        try:
+            got = render_screen(wm, noise_rng=rng).pixels
+        finally:
+            slot.release()
+        assert threads == {threading.current_thread()}
+        assert np.array_equal(_bits(got), _bits(_reference(wm, ref_rng)))
+        assert _same_generator(rng, ref_rng)
+
+    def test_threads_render_at_once(self, corpus, monkeypatch):
+        # More rendering threads than cores, switching often: each frame
+        # must still equal its reference, whichever path drew its noise.
+        states = _states(corpus)[:6]
+        wms = [_window_manager(s, overlays=k % 2)
+               for k, s in enumerate(states)]
+        expected = [_reference(wm, np.random.default_rng(100 + k))
+                    for k, wm in enumerate(wms)]
+        live, peak = [0], [0]
+        lock = threading.Lock()
+        real = renderer.draw_noise
+
+        def counting(rng, out, scale):
+            with lock:
+                live[0] += 1
+                peak[0] = max(peak[0], live[0])
+            try:
+                real(rng, out, scale)
+            finally:
+                with lock:
+                    live[0] -= 1
+
+        monkeypatch.setattr(renderer, "draw_noise", counting)
+        n_threads = 4
+        barrier = threading.Barrier(n_threads)
+        results = {}
+        errors = []
+
+        def worker(w):
+            try:
+                barrier.wait()
+                for rep in range(2):
+                    for k, wm in enumerate(wms):
+                        rng = np.random.default_rng(100 + k)
+                        results[(w, k, rep)] = render_screen(
+                            wm, noise_rng=rng).pixels
+            except BaseException as exc:  # surfaced by the assert below
+                errors.append(exc)
+
+        workers = [threading.Thread(target=worker, args=(w,))
+                   for w in range(n_threads)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in workers:
+                t.start()
+            for t in workers:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in workers)
+        assert not errors, errors
+        assert len(results) == n_threads * 2 * len(wms)
+        for (_, k, _), pixels in results.items():
+            assert np.array_equal(_bits(pixels), _bits(expected[k])), k
+        # One helper frame at a time, process-wide.
+        assert peak[0] == 1
+        assert _slot_is_free()
+
+
+class TestErrorPaths:
+    def test_raster_error_leaves_the_generator_untouched(self, corpus,
+                                                         monkeypatch):
+        def broken(canvas, root, offset):
+            raise RuntimeError("raster failed")
+
+        monkeypatch.setattr(renderer, "render_view_tree", broken)
+        rng = np.random.default_rng(12)
+        before = rng.bit_generator.state
+        with pytest.raises(RuntimeError, match="raster failed"):
+            render_screen(_window_manager(corpus.samples[0].screen),
+                          noise_rng=rng)
+        assert rng.bit_generator.state == before
+        assert rng.normal() == np.random.default_rng(12).normal()
+        assert _slot_is_free()
+
+    def test_helper_error_surfaces_from_render_screen(self, corpus,
+                                                      monkeypatch):
+        # An error only the helper meets is not lost when the rendering
+        # thread finishes the frame.
+        main = threading.current_thread()
+        failed = threading.Event()
+        real_draw, real_tree = renderer.draw_noise, renderer.render_view_tree
+
+        def failing(rng, out, scale):
+            if threading.current_thread() is not main:
+                failed.set()
+                raise RuntimeError("helper draw failed")
+            real_draw(rng, out, scale)
+
+        def waiting_tree(canvas, root, offset):
+            assert failed.wait(timeout=60)
+            real_tree(canvas, root, offset)
+
+        monkeypatch.setattr(renderer, "draw_noise", failing)
+        monkeypatch.setattr(renderer, "render_view_tree", waiting_tree)
+        with pytest.raises(RuntimeError, match="helper draw failed"):
+            render_screen(_window_manager(corpus.samples[0].screen),
+                          noise_rng=np.random.default_rng(14))
+        assert _slot_is_free()
+
+    def test_draw_error_surfaces_from_render_screen(self, corpus):
+        wm = _window_manager(corpus.samples[0].screen)
+        rng = np.random.default_rng(13)
+        before = rng.bit_generator.state
+        with pytest.raises(ValueError, match="scale"):
+            render_screen(wm, noise_rng=rng, noise_scale=-1.0)
+        # Sequential order: rng.normal rejects the scale before drawing.
+        ref_rng = np.random.default_rng(13)
+        with pytest.raises(ValueError, match="scale"):
+            render_screen(wm).add_noise(ref_rng, scale=-1.0)
+        assert rng.bit_generator.state == before == ref_rng.bit_generator.state
+        assert _slot_is_free()
+        # The next render gets the helper back.
+        got = render_screen(wm, noise_rng=rng).pixels
+        assert np.array_equal(_bits(got), _bits(_reference(wm, ref_rng)))
+
+
+# -- fork safety -------------------------------------------------------------
+
+#: Set in the parent before forking; a forked child inherits it.
+_FORK_CASE = {}
+
+
+def _child_render():
+    # The slot is free in the child although the parent held it at fork.
+    slot_free = _slot_is_free()
+    wm, seed = _FORK_CASE["wm"], _FORK_CASE["seed"]
+    pixels = render_screen(wm, noise_rng=np.random.default_rng(seed))
+    return pixels.pixels.tobytes(), slot_free
+
+
+class TestForkSafety:
+    def test_fork_child_renders_the_parents_bytes(self, corpus):
+        wm = _window_manager(corpus.samples[2].screen, overlays=1)
+        parent = render_screen(wm, noise_rng=np.random.default_rng(21))
+        _FORK_CASE.update(wm=wm, seed=21)
+        # What repro.bench.parallel._pool_context uses.
+        ctx = multiprocessing.get_context("fork")
+        # A slot held at fork time (another thread mid-render) must not
+        # stay taken in the child.
+        slot = renderer._NoiseDraw._slot
+        assert slot.acquire(blocking=False)
+        try:
+            with ctx.Pool(1) as pool:
+                child, slot_free = pool.apply_async(_child_render).get(
+                    timeout=120)
+        finally:
+            slot.release()
+            _FORK_CASE.clear()
+        assert child == parent.pixels.tobytes()
+        assert slot_free
