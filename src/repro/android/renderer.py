@@ -8,16 +8,18 @@ dataset generator come through the same code path, so the detector never
 sees a rendering style it wasn't trained on.
 
 Sensor noise is the costliest part of a screenshot (691,200 Gaussian
-draws per 640x360 frame), and rasterising never reads the noise
-generator, so when a core is idle :func:`render_screen` draws the noise
-on a helper thread while the calling thread rasterises
-(``Generator.normal`` releases the GIL).  Pixels and the generator's
-final state are bit-identical to rasterising first and calling
+draws per 640x360 frame), and it depends on nothing but the noise
+generator's state, so :func:`render_screen` takes it from a helper
+thread when a core is idle: drawn ahead, right after the generator's
+previous screenshot, or while the calling thread rasterises
+(``Generator.standard_normal`` releases the GIL).  Pixels and the
+generator's state are bit-identical to rasterising first and calling
 ``Canvas.add_noise`` after.
 """
 
 from __future__ import annotations
 
+import copy
 import os
 import threading
 from typing import Optional, Tuple
@@ -124,104 +126,186 @@ def _thread_running(tid: str) -> bool:
     return stat[stat.rindex(b")") + 2:][:1] == b"R"
 
 
-class _NoiseDraw:
-    """One frame of sensor noise, drawn on a helper thread.
+def _same_state(a, b) -> bool:
+    """Equality of two ``bit_generator.state`` values.  PCG64's state is
+    plain integers, but MT19937, Philox and SFC64 keep arrays in theirs,
+    and ``==`` on arrays compares elementwise."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        return a.keys() == b.keys() and all(_same_state(a[k], b[k])
+                                            for k in a)
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return np.array_equal(a, b)
+    return a == b
 
-    The helper draws whole ``NOISE_ROWS`` blocks in row order until the
-    rendering thread, its raster done, asks for the frame; the rendering
-    thread then draws the rows the helper did not reach itself.  So a
-    helper slowed down by a busy second core never makes a render wait
-    for more than one block.
 
-    A helper starts only when a core is idle (:func:`_core_idle`), and
-    at most one runs per process, drawing into the one frame buffer
-    every helper reuses, so the overlap costs one frame of memory in
-    all.  (A buffer per render would be freed into the allocator arena
-    of whichever thread rendered, and daemon session threads would each
-    keep a stale frame.)  A render that finds no idle core, or the slot
-    taken (daemon session threads rendering at once), gets ``None``
-    from :meth:`start` and draws inline with ``Canvas.add_noise``, which
-    calls the same :func:`draw_noise`.  The helper thread lives for one
-    render only, so no thread outlives a render to be lost across a
-    fork.
+class _LookAhead:
+    """The process's one noise helper: a thread, a frame and one draw.
+
+    A draw fills the one float32 frame, in whole ``NOISE_ROWS`` blocks
+    and in row order, from a private clone of a noise generator (its
+    ``bit_generator.state`` copied when the draw starts), so the source
+    generator is never touched until a render takes the frame over.
+    :meth:`claim` gives a render the draw when one is pending for a
+    generator whose state still equals the clone's start state, with the
+    same frame shape and scale (a look-ahead), or starts one for the
+    current frame when a core is idle (:func:`_core_idle`).
+    :meth:`finish` then stops the helper after its block, draws the rows
+    it did not reach from the clone, adds and clips the frame, and only
+    then copies the clone's end state into the generator.  So outside a
+    render the generator is always in its sequential state, and throwing
+    a draw away (:meth:`drop`, or a :meth:`claim` for another state) is
+    always safe.
+
+    :meth:`look_ahead` starts drawing the next frame as soon as a render
+    has applied its noise, but only for a generator that fed the render
+    before too (a device's, whose screenshots follow one another; not
+    the one-shot generators of ``datagen.corpus.render_state``).  There
+    is one pending draw at most, the object holds one caller generator
+    (the last render's), and the frame and the float64 block buffer are
+    allocated once per frame shape: a render that finds the draw owned
+    by another render (daemon session threads) draws inline with
+    ``Canvas.add_noise``, which calls the same :func:`draw_noise`.
     """
 
-    #: Held from a helper's start until its frame is applied or dropped.
-    _slot = threading.Lock()
-    #: The frame buffer helpers draw into; used only under the slot.
-    _frame: Optional[np.ndarray] = None
-
-    def __init__(self, rng: np.random.Generator, noise: np.ndarray,
-                 scale: float):
-        self._rng = rng
-        self._noise = noise
-        self._scale = scale
-        # The sequential order never touches the generator when the
-        # raster raises; cancel() restores this snapshot to match.
-        self._state = rng.bit_generator.state
+    def __init__(self) -> None:
+        self._cond = threading.Condition()
+        self._thread: Optional[threading.Thread] = None
+        # Guarded by _cond.
+        self._claimed = False    # a render owns the draw
+        self._pending = False    # a draw is started and not yet used or dropped
+        self._requested = False  # the helper has a draw to pick up
+        self._drawing = False    # the helper is drawing
+        self._stop = False       # the helper stops after its block
+        self._last: Optional[np.random.Generator] = None
+        # The draw; changed only while no draw is pending.
+        self._clone: Optional[np.random.Generator] = None
+        self._start: Optional[dict] = None  # the clone's state at the start
+        self._scale = 0.0
+        self._frame: Optional[np.ndarray] = None
+        self._scratch: Optional[np.ndarray] = None
         self._drawn = 0  # rows the helper has drawn
         self._error: Optional[BaseException] = None
-        self._handoff = threading.Event()
-        self._thread = threading.Thread(target=self._draw,
-                                        name="render-noise", daemon=True)
-        self._thread.start()
 
-    @classmethod
-    def start(cls, rng: np.random.Generator, shape: Tuple[int, ...],
-              scale: float) -> Optional["_NoiseDraw"]:
-        """Start drawing a frame of noise, or ``None`` if no core is idle
-        or the slot is taken."""
-        if not _core_idle() or not cls._slot.acquire(blocking=False):
-            return None
-        try:
-            if cls._frame is None or cls._frame.shape != shape:
-                cls._frame = np.empty(shape, dtype=np.float32)
-            return cls(rng, cls._frame, scale)
-        except BaseException:
-            cls._slot.release()
-            raise
+    def claim(self, rng: np.random.Generator, shape: Tuple[int, ...],
+              scale: float) -> bool:
+        """Own the draw of this frame's noise for ``rng``, or ``False``
+        (draw inline) if another render owns it or no core is idle."""
+        with self._cond:
+            if self._claimed:
+                return False
+            if self._pending:
+                if (self._frame.shape == shape and self._scale == scale
+                        and _same_state(rng.bit_generator.state,
+                                        self._start)):
+                    self._claimed = True
+                    return True
+                self._discard()
+            if not _core_idle():
+                return False
+            self._start_draw(rng, shape, scale)
+            self._claimed = True
+            return True
 
-    @classmethod
-    def _reset_after_fork(cls) -> None:
-        # A fork child has only the forking thread; a slot some other
-        # parent thread held would otherwise stay taken for good.
-        cls._slot = threading.Lock()
-
-    def _draw(self) -> None:
-        try:
-            for y0 in range(0, len(self._noise), NOISE_ROWS):
-                if self._handoff.is_set():
-                    return
-                draw_noise(self._rng, self._noise[y0:y0 + NOISE_ROWS],
-                           self._scale)
-                self._drawn = y0 + NOISE_ROWS
-        except BaseException as exc:
-            self._error = exc  # re-raised on the rendering thread by apply_to
-
-    def _stop(self) -> None:
-        self._handoff.set()
-        self._thread.join()
-
-    def apply_to(self, canvas: Canvas) -> None:
-        """Finish the draw on this thread, then add and clip it into
-        ``canvas``."""
-        self._stop()
+    def finish(self, rng: np.random.Generator, pixels: np.ndarray) -> None:
+        """Complete the claimed draw on this thread, add and clip it into
+        ``pixels``, and advance ``rng`` past it."""
+        with self._cond:
+            self._halt()
         try:
             if self._error is not None:
                 raise self._error
-            draw_noise(self._rng, self._noise[self._drawn:], self._scale)
-            apply_noise(canvas.pixels, self._noise)
+            draw_noise(self._clone, self._frame[self._drawn:], self._scale,
+                       self._scratch)
+            apply_noise(pixels, self._frame)
+            rng.bit_generator.state = self._clone.bit_generator.state
         finally:
-            self._slot.release()
+            with self._cond:
+                self._pending = self._claimed = False
 
-    def cancel(self) -> None:
-        """Stop the draw, drop it and rewind the generator."""
-        self._stop()
-        self._rng.bit_generator.state = self._state
-        self._slot.release()
+    def drop(self) -> None:
+        """Throw the claimed draw away; its generator was never touched."""
+        with self._cond:
+            self._discard()
+            self._claimed = False
+
+    def look_ahead(self, rng: np.random.Generator, shape: Tuple[int, ...],
+                   scale: float) -> None:
+        """Note that ``rng`` fed a render, and start drawing its next
+        frame if it fed the render before too and a core is idle."""
+        with self._cond:
+            previous, self._last = self._last, rng
+            if (previous is rng and not self._claimed and not self._pending
+                    and _core_idle()):
+                self._start_draw(rng, shape, scale)
+
+    # -- under _cond --------------------------------------------------
+
+    def _start_draw(self, rng: np.random.Generator, shape: Tuple[int, ...],
+                    scale: float) -> None:
+        if self._frame is None or self._frame.shape != shape:
+            self._frame = np.empty(shape, dtype=np.float32)
+            self._scratch = np.empty((NOISE_ROWS,) + shape[1:])
+        if (self._clone is None or type(self._clone.bit_generator)
+                is not type(rng.bit_generator)):
+            self._clone = copy.deepcopy(rng)
+        self._start = rng.bit_generator.state
+        self._clone.bit_generator.state = self._start
+        self._scale = scale
+        self._drawn = 0
+        self._error = None
+        self._stop = False
+        self._pending = self._requested = True
+        if self._thread is None:
+            self._thread = threading.Thread(target=self._run,
+                                            name="render-noise", daemon=True)
+            self._thread.start()
+        self._cond.notify_all()
+
+    def _halt(self) -> None:
+        """Stop the helper after its block and wait until it has."""
+        self._requested = False
+        self._stop = True
+        while self._drawing:
+            self._cond.wait()
+
+    def _discard(self) -> None:
+        self._halt()
+        self._pending = False
+
+    # -- the helper thread --------------------------------------------
+
+    def _run(self) -> None:
+        while True:
+            with self._cond:
+                while not self._requested:
+                    self._cond.wait()
+                self._requested = False
+                self._drawing = True
+            try:
+                for y0 in range(0, len(self._frame), NOISE_ROWS):
+                    if self._stop:
+                        break
+                    draw_noise(self._clone, self._frame[y0:y0 + NOISE_ROWS],
+                               self._scale, self._scratch)
+                    self._drawn = y0 + NOISE_ROWS
+            except BaseException as exc:  # re-raised by finish()
+                self._error = exc
+            with self._cond:
+                self._drawing = False
+                self._cond.notify_all()
 
 
-os.register_at_fork(after_in_child=_NoiseDraw._reset_after_fork)
+_helper = _LookAhead()
+
+
+def _reset_after_fork() -> None:
+    # A fork child has only the forking thread: the helper thread, and
+    # any draw it was making or a render had claimed, stay behind.
+    global _helper
+    _helper = _LookAhead()
+
+
+os.register_at_fork(after_in_child=_reset_after_fork)
 
 
 def _rasterise(wm: WindowManager, canvas: Canvas) -> None:
@@ -264,26 +348,32 @@ def render_screen(
     is not full-screen; accessibility overlays are always topmost (their
     stack position already guarantees that).
 
-    With ``noise_rng``, the frame's sensor noise is drawn on a helper
-    thread while the stack rasterises if a core is idle (the rows it has
-    not reached when the raster ends are drawn here), with the same
-    ``rng.normal`` calls in the same order as ``Canvas.add_noise``.  If
-    the raster raises, the generator is rewound to its state on entry;
-    an error from the draw itself is raised here after the raster.
+    With ``noise_rng``, the frame gets the sensor noise of
+    ``Canvas.add_noise`` (the same ``rng.normal`` values in the same
+    order).  The process's noise helper supplies it when it can: a frame
+    it drew ahead after the generator's last render, or one it draws
+    while the stack rasterises if a core is idle; the rows it has not
+    reached are drawn here.  Otherwise the noise is drawn inline.  The
+    generator advances only when the noise is applied, so a raster that
+    raises leaves it untouched; an error from the draw itself is raised
+    here after the raster.
     """
     screen = wm.screen
     canvas = Canvas(screen.width, screen.height, background=_WALLPAPER)
-    noise = None
-    if noise_rng is not None:
-        noise = _NoiseDraw.start(noise_rng, canvas.pixels.shape, noise_scale)
+    if noise_rng is None:
+        _rasterise(wm, canvas)
+        return canvas
+    shape = canvas.pixels.shape
+    claimed = _helper.claim(noise_rng, shape, noise_scale)
     try:
         _rasterise(wm, canvas)
     except BaseException:
-        if noise is not None:
-            noise.cancel()
+        if claimed:
+            _helper.drop()
         raise
-    if noise is not None:
-        noise.apply_to(canvas)
-    elif noise_rng is not None:
+    if claimed:
+        _helper.finish(noise_rng, canvas.pixels)
+    else:
         canvas.add_noise(noise_rng, scale=noise_scale)
+    _helper.look_ahead(noise_rng, shape, noise_scale)
     return canvas

@@ -6,9 +6,9 @@ regression gate always measure the same thing: the per-image fp32
 :class:`repro.vision.nn.InferencePlan` forward, the only execution path
 the serving code has.
 
-Timings are best-of-``rounds`` wall milliseconds, each after
-:data:`WARMUP_MS` of untimed calls, through :mod:`repro.wallclock` —
-the one sanctioned clock.
+Timings are best-of-``rounds`` wall milliseconds, each after one
+untimed warm-up call, through :mod:`repro.wallclock` — the one
+sanctioned clock.
 The model is the seeded *untrained* TinyYolo: forward cost is
 weight-independent, and skipping training keeps the benchmark cheap
 enough for CI.  Accuracy claims (the Table-IV weight-quantization
@@ -27,7 +27,7 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from repro.bench.provenance import build_manifest
-from repro.wallclock import Stopwatch, monotonic_ms
+from repro.wallclock import monotonic_ms
 
 #: Historical batch-32 reference from the pre-kernel serving path
 #: (BENCH_kernels.json as of the observability PR).  A constant, not a
@@ -39,20 +39,9 @@ CORPUS_VERSION = "synthetic-uniform-v1"
 SEED_BASE = 0
 
 
-#: Untimed warm-up before each best-of, in wall milliseconds.  A fresh
-#: process sometimes spends its first ~0.7 s at a flat ~32 ms per
-#: forward (2-vCPU x86 host), so one warm-up call let that stall into
-#: the batch-1 reading; warming for a fixed time keeps it out.
-WARMUP_MS = 1000.0
-
-
 def _best_of_ms(fn, rounds: int) -> float:
-    """Best-of-N wall milliseconds after ``WARMUP_MS`` of untimed calls
-    (at least one)."""
-    warmup = Stopwatch()
+    """Best-of-N wall milliseconds after one untimed warm-up call."""
     fn()
-    while warmup.elapsed_ms() < WARMUP_MS:
-        fn()
     best = float("inf")
     for _ in range(rounds):
         t0 = monotonic_ms()

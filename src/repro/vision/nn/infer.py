@@ -49,6 +49,8 @@ identity (see :mod:`repro.core.daemon`).
 from __future__ import annotations
 
 import copy
+import ctypes
+import sys
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -107,6 +109,55 @@ def fold_batchnorm(layers: Sequence[Layer]) -> List[Layer]:
     return out
 
 
+#: OpenBLAS's thread-count setters: the ``scipy_openblas`` build that
+#: NumPy 2.x wheels bundle, then other OpenBLAS builds.
+_BLAS_THREAD_SETTERS = (
+    "scipy_openblas_set_num_threads64_",
+    "scipy_openblas_set_num_threads",
+    "openblas_set_num_threads64_",
+    "openblas_set_num_threads",
+)
+
+
+def _blas_library() -> Optional[ctypes.CDLL]:
+    """NumPy's core extension module, opened through ctypes.
+
+    The extension is already loaded, so this returns a handle to it, not
+    a second copy, and a symbol lookup on that handle also searches the
+    libraries it links, NumPy's BLAS among them.  ``None`` when the
+    module cannot be found or opened.
+    """
+    for name in ("numpy._core._multiarray_umath",
+                 "numpy.core._multiarray_umath"):
+        path = getattr(sys.modules.get(name), "__file__", None)
+        if path is not None:
+            try:
+                return ctypes.CDLL(path)
+            except OSError:
+                return None
+    return None
+
+
+def _pin_blas_to_one_thread() -> bool:
+    """Set NumPy's OpenBLAS to one thread; ``False`` if it has no setter.
+
+    After every multi-threaded GEMM, OpenBLAS's worker thread busy-waits
+    for about 120 ms (DESIGN §5g).  The plan's per-image GEMMs gain
+    nothing from a second thread, and the spinning worker would hold
+    the core the renderer's noise helper draws on.  The setting is
+    process-wide; with no OpenBLAS (or another BLAS) nothing changes.
+    """
+    library = _blas_library()
+    for name in _BLAS_THREAD_SETTERS:
+        setter = getattr(library, name, None)
+        if setter is not None:
+            setter.argtypes = [ctypes.c_int]
+            setter.restype = None
+            setter(1)
+            return True
+    return False
+
+
 @dataclass(eq=False)
 class _ConvStep:
     """A fused Conv [+ LeakyReLU] [+ MaxPool] execution step."""
@@ -141,9 +192,12 @@ class InferencePlan:
     :class:`TinyYolo` does this automatically.
 
     The returned array is freshly allocated per call and safe to keep.
+    Building a plan sets NumPy's OpenBLAS to one thread, process-wide
+    (:func:`_pin_blas_to_one_thread`).
     """
 
     def __init__(self, layers: Sequence[Layer]):
+        _pin_blas_to_one_thread()
         self.layers: List[Layer] = fold_batchnorm(layers)
         #: Optional :class:`repro.core.observability.PlanProfiler` (or
         #: anything with ``start_forward(batch)`` / ``record_step(label,

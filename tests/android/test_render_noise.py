@@ -1,19 +1,23 @@
-"""Sensor noise drawn on a helper thread while the window stack rasterises.
+"""Sensor noise drawn on the helper thread: ahead of the next screenshot,
+or while the window stack rasterises.
 
 ``render_screen`` must give the same pixels, and leave the noise
 generator in the same state, as rasterising first and then adding the
 full-frame noise (the reference below, the formula
 ``tests/imaging/test_canvas.py`` keeps).  These tests cover corpus
 screens (windowed, full-screen, with overlays), the hand-over of the
-rows a helper has not reached, the idle-core check, the inline path a
-render takes when no core is idle or another render holds the helper,
-the error paths, stub screenshots, and a fork child of a process that
-has rendered.
+rows the helper has not reached, the look-ahead (taken, discarded, never
+seen from outside a render, never started for one-shot generators), the
+idle-core check, the inline path a render takes when no core is idle or
+another render owns the draw, the error paths, stub screenshots, and
+fork children of a process that has rendered.
 """
 
 import multiprocessing
+import os
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -24,6 +28,7 @@ from repro.android import Device, LayoutParams, Screen, View, WindowManager
 from repro.android.accessibility import AccessibilityService
 from repro.android.renderer import render_screen
 from repro.datagen import build_corpus
+from repro.datagen.corpus import render_state
 from repro.geometry import Rect
 from repro.imaging.canvas import NOISE_ROWS, apply_noise, draw_noise
 from repro.imaging.color import PALETTE
@@ -48,10 +53,26 @@ def _same_generator(a, b):
 
 
 def _slot_is_free():
-    if not renderer._NoiseDraw._slot.acquire(blocking=False):
-        return False
-    renderer._NoiseDraw._slot.release()
-    return True
+    """No render owns the helper's draw and no draw is pending."""
+    helper = renderer._helper
+    with helper._cond:
+        return not (helper._claimed or helper._pending)
+
+
+class _HoldSlot:
+    """Mark the helper's draw as owned by a render, as another thread
+    mid-render would."""
+
+    def __enter__(self):
+        helper = renderer._helper
+        with helper._cond:
+            assert not helper._claimed
+            helper._claimed = True
+
+    def __exit__(self, *exc):
+        helper = renderer._helper
+        with helper._cond:
+            helper._claimed = False
 
 
 #: The real idle-core check; the fixture below stands it in for the
@@ -63,6 +84,9 @@ _REAL_CORE_IDLE = renderer._core_idle
 @pytest.fixture(autouse=True)
 def idle_core(monkeypatch):
     monkeypatch.setattr(renderer, "_core_idle", lambda: True)
+    # A look-ahead left by an earlier test would still be drawing
+    # through the names a test is about to patch.
+    renderer._helper.drop()
 
 
 @pytest.fixture(scope="module")
@@ -134,9 +158,9 @@ def _record_draw_threads(monkeypatch):
     threads = set()
     real = canvas_module.draw_noise
 
-    def spy(rng, out, scale):
+    def spy(rng, out, *args):
         threads.add(threading.current_thread())
-        real(rng, out, scale)
+        real(rng, out, *args)
 
     monkeypatch.setattr(renderer, "draw_noise", spy)
     monkeypatch.setattr(canvas_module, "draw_noise", spy)
@@ -153,8 +177,8 @@ class TestHelperThread:
         done = threading.Event()
         real_draw, real_tree = renderer.draw_noise, renderer.render_view_tree
 
-        def spy(rng, out, scale):
-            real_draw(rng, out, scale)
+        def spy(rng, out, *args):
+            real_draw(rng, out, *args)
             me = threading.current_thread()
             rows[me] = rows.get(me, 0) + len(out)
             if rows[me] == height:
@@ -184,11 +208,11 @@ class TestHelperThread:
         raster_done = threading.Event()
         real_draw, real_raster = renderer.draw_noise, renderer._rasterise
 
-        def spy(rng, out, scale):
+        def spy(rng, out, *args):
             me = threading.current_thread()
             if me is not main and rows.get(me):
                 assert raster_done.wait(timeout=60)
-            real_draw(rng, out, scale)
+            real_draw(rng, out, *args)
             rows[me] = rows.get(me, 0) + len(out)
 
         def raster(wm, canvas):
@@ -210,17 +234,20 @@ class TestHelperThread:
     def test_helpers_reuse_one_frame_buffer(self, corpus):
         wm = _window_manager(corpus.samples[0].screen)
         render_screen(wm, noise_rng=np.random.default_rng(1))
-        frame = renderer._NoiseDraw._frame
+        frame = renderer._helper._frame
+        scratch = renderer._helper._scratch
         assert frame is not None and frame.shape == (640, 360, 3)
+        assert scratch.shape == (NOISE_ROWS, 360, 3)
         render_screen(_window_manager(corpus.samples[1].screen),
                       noise_rng=np.random.default_rng(2))
-        assert renderer._NoiseDraw._frame is frame
+        assert renderer._helper._frame is frame
+        assert renderer._helper._scratch is scratch
         small = WindowManager(Screen(width=100, height=200))
         small.attach_app_window(View(bounds=Rect(0, 0, 100, 128),
                                      bg_color=PALETTE["white"]), "com.demo")
         rng, ref_rng = np.random.default_rng(3), np.random.default_rng(3)
         got = render_screen(small, noise_rng=rng).pixels
-        assert renderer._NoiseDraw._frame.shape == (200, 100, 3)
+        assert renderer._helper._frame.shape == (200, 100, 3)
         assert np.array_equal(_bits(got), _bits(_reference(small, ref_rng)))
 
     def test_no_noise_starts_no_helper(self, corpus, monkeypatch):
@@ -243,7 +270,8 @@ class TestHelperThread:
         def refuse(*args, **kwargs):
             raise AssertionError("stub screenshot started a noise draw")
 
-        monkeypatch.setattr(renderer._NoiseDraw, "start", refuse)
+        monkeypatch.setattr(renderer._LookAhead, "claim", refuse)
+        monkeypatch.setattr(renderer._LookAhead, "look_ahead", refuse)
         device = Device(seed=3)
         before = device.rng.bit_generator.state
         shot = AccessibilityService(device).take_screenshot(stub=True)
@@ -275,7 +303,13 @@ class TestIdleCoreCheck:
             release.set()
             sleeper.join(timeout=60)
         assert not sleeper.is_alive()
-        # A thread that has exited is not running.
+        # A thread that has exited is not running.  join() returns before
+        # the thread's exit path has run, so wait until the kernel has
+        # dropped the task.
+        for _ in range(1000):
+            if not os.path.exists(f"/proc/self/task/{tid}"):
+                break
+            time.sleep(0.01)
         assert not renderer._thread_running(tid)
 
     def test_without_cpu_affinity_no_core_is_idle(self, monkeypatch):
@@ -300,12 +334,8 @@ class TestBusyHelperDrawsInline:
         threads = _record_draw_threads(monkeypatch)
         wm = _window_manager(corpus.samples[1].screen, overlays=1)
         rng, ref_rng = np.random.default_rng(4), np.random.default_rng(4)
-        slot = renderer._NoiseDraw._slot
-        assert slot.acquire(blocking=False)
-        try:
+        with _HoldSlot():
             got = render_screen(wm, noise_rng=rng).pixels
-        finally:
-            slot.release()
         assert threads == {threading.current_thread()}
         assert np.array_equal(_bits(got), _bits(_reference(wm, ref_rng)))
         assert _same_generator(rng, ref_rng)
@@ -322,12 +352,12 @@ class TestBusyHelperDrawsInline:
         lock = threading.Lock()
         real = renderer.draw_noise
 
-        def counting(rng, out, scale):
+        def counting(rng, out, *args):
             with lock:
                 live[0] += 1
                 peak[0] = max(peak[0], live[0])
             try:
-                real(rng, out, scale)
+                real(rng, out, *args)
             finally:
                 with lock:
                     live[0] -= 1
@@ -394,11 +424,11 @@ class TestErrorPaths:
         failed = threading.Event()
         real_draw, real_tree = renderer.draw_noise, renderer.render_view_tree
 
-        def failing(rng, out, scale):
+        def failing(rng, out, *args):
             if threading.current_thread() is not main:
                 failed.set()
                 raise RuntimeError("helper draw failed")
-            real_draw(rng, out, scale)
+            real_draw(rng, out, *args)
 
         def waiting_tree(canvas, root, offset):
             assert failed.wait(timeout=60)
@@ -428,6 +458,154 @@ class TestErrorPaths:
         assert np.array_equal(_bits(got), _bits(_reference(wm, ref_rng)))
 
 
+class TestLookAhead:
+    """The next frame's noise, drawn after a render from a clone of its
+    generator and taken over by the generator's next render."""
+
+    @staticmethod
+    def _record_claims(monkeypatch):
+        """Spy on ``claim``; return, per render, whether it took a
+        pre-drawn look-ahead."""
+        taken = []
+        real = renderer._LookAhead.claim
+
+        def claim(self, rng, shape, scale):
+            pending, start = self._pending, self._start
+            owned = real(self, rng, shape, scale)
+            # A draw started for this render would have a new start.
+            taken.append(pending and owned and self._start is start)
+            return owned
+
+        monkeypatch.setattr(renderer._LookAhead, "claim", claim)
+        return taken
+
+    @staticmethod
+    def _hold_look_ahead(monkeypatch):
+        """Make the helper wait before each block of a draw no render
+        has claimed yet (a look-ahead) in this process; return the
+        (started, release) events."""
+        main, pid = threading.current_thread(), os.getpid()
+        started, release = threading.Event(), threading.Event()
+        real = renderer.draw_noise
+
+        def held(rng, out, *args):
+            if (threading.current_thread() is not main
+                    and os.getpid() == pid and not renderer._helper._claimed):
+                started.set()
+                release.wait(timeout=60)
+            real(rng, out, *args)
+
+        monkeypatch.setattr(renderer, "draw_noise", held)
+        return started, release
+
+    def test_device_screenshots_take_the_look_ahead(self, corpus,
+                                                    monkeypatch):
+        taken = self._record_claims(monkeypatch)
+        device = Device(seed=7)
+        state = corpus.samples[4].screen
+        wm = device.window_manager
+        wm.attach_app_window(state.root, "com.demo",
+                             fullscreen=state.fullscreen)
+        service = AccessibilityService(device)
+        ref_rng = np.random.default_rng(7)
+        for k in range(4):
+            shot = service.take_screenshot()
+            want = _reference(wm, ref_rng)
+            assert np.array_equal(_bits(shot.pixels), _bits(want)), k
+            assert device.rng.bit_generator.state == \
+                ref_rng.bit_generator.state
+            # The next frame differs in content as well as in noise.
+            view = View(bounds=Rect(0, 0, 1, 1), bg_color=PALETTE["red"],
+                        bg_alpha=0.5)
+            wm.add_view(view, LayoutParams(x=10 + 30 * k, y=90, width=60,
+                                           height=40), "com.darpa")
+        # A look-ahead starts once a generator has fed two renders.
+        assert taken == [False, False, True, True]
+        assert _same_generator(device.rng, ref_rng)
+
+    @pytest.mark.parametrize("bit_generator", [
+        np.random.PCG64DXSM, np.random.MT19937, np.random.Philox,
+        np.random.SFC64])
+    def test_other_bit_generators_take_the_look_ahead(self, corpus,
+                                                      monkeypatch,
+                                                      bit_generator):
+        # Some of these keep arrays in their state.
+        taken = self._record_claims(monkeypatch)
+        wm = _window_manager(corpus.samples[9].screen)
+        rng = np.random.Generator(bit_generator(11))
+        ref_rng = np.random.Generator(bit_generator(11))
+        for _ in range(4):
+            got = render_screen(wm, noise_rng=rng).pixels
+            assert np.array_equal(_bits(got), _bits(_reference(wm, ref_rng)))
+        assert taken == [False, False, True, True]
+        assert renderer._same_state(rng.bit_generator.state,
+                                    ref_rng.bit_generator.state)
+        assert rng.normal() == ref_rng.normal()
+
+    def test_a_draw_between_renders_discards_the_look_ahead(self, corpus,
+                                                            monkeypatch):
+        taken = self._record_claims(monkeypatch)
+        wm = _window_manager(corpus.samples[5].screen, overlays=1)
+        rng, ref_rng = np.random.default_rng(8), np.random.default_rng(8)
+        for step in range(4):
+            if step == 2:
+                assert renderer._helper._pending
+                assert rng.normal(size=5).tolist() == \
+                    ref_rng.normal(size=5).tolist()
+            got = render_screen(wm, noise_rng=rng).pixels
+            assert np.array_equal(_bits(got), _bits(_reference(wm, ref_rng)))
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+        assert taken == [False, False, False, True]
+        assert _same_generator(rng, ref_rng)
+
+    def test_generator_state_between_renders_is_sequential(self, corpus,
+                                                           monkeypatch):
+        started, release = self._hold_look_ahead(monkeypatch)
+        wm = _window_manager(corpus.samples[6].screen)
+        rng, ref_rng = np.random.default_rng(9), np.random.default_rng(9)
+        try:
+            for _ in range(2):
+                render_screen(wm, noise_rng=rng)
+                _reference(wm, ref_rng)
+            assert started.wait(timeout=60)
+            # The look-ahead is under way and has not touched rng.
+            assert renderer._helper._pending
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+        finally:
+            release.set()
+        got = render_screen(wm, noise_rng=rng).pixels
+        assert np.array_equal(_bits(got), _bits(_reference(wm, ref_rng)))
+        assert _same_generator(rng, ref_rng)
+
+    def test_render_state_starts_no_look_ahead(self, corpus):
+        state = corpus.samples[7].screen
+        for seed in (0, 1, 0, 2):
+            render_state(state, noise_seed=seed)
+            assert _slot_is_free()
+
+    def test_raster_error_after_a_look_ahead(self, corpus, monkeypatch):
+        wm = _window_manager(corpus.samples[8].screen)
+        rng, ref_rng = np.random.default_rng(10), np.random.default_rng(10)
+        for _ in range(2):
+            render_screen(wm, noise_rng=rng)
+            _reference(wm, ref_rng)
+        assert renderer._helper._pending
+        real_tree = renderer.render_view_tree
+
+        def broken(canvas, root, offset):
+            raise RuntimeError("raster failed")
+
+        monkeypatch.setattr(renderer, "render_view_tree", broken)
+        with pytest.raises(RuntimeError, match="raster failed"):
+            render_screen(wm, noise_rng=rng)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        assert _slot_is_free()
+        monkeypatch.setattr(renderer, "render_view_tree", real_tree)
+        got = render_screen(wm, noise_rng=rng).pixels
+        assert np.array_equal(_bits(got), _bits(_reference(wm, ref_rng)))
+        assert _same_generator(rng, ref_rng)
+
+
 # -- fork safety -------------------------------------------------------------
 
 #: Set in the parent before forking; a forked child inherits it.
@@ -435,30 +613,57 @@ _FORK_CASE = {}
 
 
 def _child_render():
-    # The slot is free in the child although the parent held it at fork.
+    # The slot is free in the child whatever the parent's helper was
+    # doing at the fork; the child's renders (the third one taking the
+    # child's own look-ahead) match the parent's.
     slot_free = _slot_is_free()
     wm, seed = _FORK_CASE["wm"], _FORK_CASE["seed"]
-    pixels = render_screen(wm, noise_rng=np.random.default_rng(seed))
-    return pixels.pixels.tobytes(), slot_free
+    rng = np.random.default_rng(seed)
+    frames = [render_screen(wm, noise_rng=rng).pixels.tobytes()
+              for _ in range(3)]
+    return frames, slot_free
+
+
+def _fork_and_render(wm, seed):
+    """Render three frames from ``seed`` in a fork child (what
+    ``repro.bench.parallel._pool_context`` uses)."""
+    _FORK_CASE.update(wm=wm, seed=seed)
+    try:
+        with multiprocessing.get_context("fork").Pool(1) as pool:
+            return pool.apply_async(_child_render).get(timeout=120)
+    finally:
+        _FORK_CASE.clear()
+
+
+def _reference_frames(wm, seed, n=3):
+    ref_rng = np.random.default_rng(seed)
+    return [_reference(wm, ref_rng).tobytes() for _ in range(n)]
 
 
 class TestForkSafety:
     def test_fork_child_renders_the_parents_bytes(self, corpus):
         wm = _window_manager(corpus.samples[2].screen, overlays=1)
-        parent = render_screen(wm, noise_rng=np.random.default_rng(21))
-        _FORK_CASE.update(wm=wm, seed=21)
-        # What repro.bench.parallel._pool_context uses.
-        ctx = multiprocessing.get_context("fork")
         # A slot held at fork time (another thread mid-render) must not
         # stay taken in the child.
-        slot = renderer._NoiseDraw._slot
-        assert slot.acquire(blocking=False)
-        try:
-            with ctx.Pool(1) as pool:
-                child, slot_free = pool.apply_async(_child_render).get(
-                    timeout=120)
-        finally:
-            slot.release()
-            _FORK_CASE.clear()
-        assert child == parent.pixels.tobytes()
+        with _HoldSlot():
+            frames, slot_free = _fork_and_render(wm, 21)
+        assert frames == _reference_frames(wm, 21)
         assert slot_free
+
+    def test_fork_while_a_look_ahead_is_pending(self, corpus, monkeypatch):
+        started, release = TestLookAhead._hold_look_ahead(monkeypatch)
+        wm = _window_manager(corpus.samples[3].screen)
+        rng = np.random.default_rng(22)
+        try:
+            for _ in range(2):
+                render_screen(wm, noise_rng=rng)
+            assert started.wait(timeout=60)
+            assert renderer._helper._pending
+            frames, slot_free = _fork_and_render(wm, 22)
+        finally:
+            release.set()
+        want = _reference_frames(wm, 22)
+        assert frames == want
+        assert slot_free
+        # The parent's look-ahead survives the fork.
+        assert render_screen(wm, noise_rng=rng).pixels.tobytes() == want[2]
