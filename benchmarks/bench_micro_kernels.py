@@ -2,7 +2,7 @@
 
 These use pytest-benchmark's repeated timing (no pedantic one-shots):
 the conv forward pass, the IoU matrix, NMS, screen rendering, the
-detector-input resize, box refinement, and the end-to-end per-frame
+view-tree raster of corpus screens, the detector-input resize, box refinement, and the end-to-end per-frame
 detection latency that the paper's overhead model depends on.  The
 plan-forward benchmark additionally persists its timings to
 ``BENCH_kernels.json`` at the repository root (override the directory
@@ -16,10 +16,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.android import Device, View, render_screen
+from repro.android import Device, Screen, View, WindowManager, render_screen
+from repro.android.view import Shape
 from repro.bench import print_table
 from repro.bench.kernels import _best_of_ms, run_kernel_bench
-from repro.datagen import build_aui_screen
+from repro.datagen import build_aui_screen, build_corpus
 from repro.datagen.corpus import render_state
 from repro.datagen.specs import AuiType, SampleSpec
 from repro.geometry import Rect, ScoredBox, non_max_suppression, pairwise_iou
@@ -80,6 +81,34 @@ def test_micro_render_screen(benchmark):
     device.window_manager.attach_app_window(root, "com.demo")
     canvas = benchmark(lambda: render_screen(device.window_manager))
     assert canvas.pixels.shape == (640, 360, 3)
+
+
+def _views(root):
+    yield root
+    for child in root.children:
+        yield from _views(child)
+
+
+def test_micro_raster_corpus(benchmark):
+    """The noiseless view-tree raster of eight fixed seed-0 corpus
+    screens, windowed and full-screen, which between them draw
+    pseudo-text, crosses, circles and rounded rects."""
+    corpus = build_corpus(seed=0, n_negatives=4)
+    states = [s.screen for s in corpus.samples[:4]] + list(corpus.negatives)
+    wms = []
+    for state in states:
+        wm = WindowManager(Screen())
+        wm.attach_app_window(state.root, "com.dataset.render",
+                             fullscreen=state.fullscreen)
+        wms.append(wm)
+    views = [v for s in states for v in _views(s.root)]
+    assert any(v.text for v in views)
+    assert any(v.icon == "cross" for v in views)
+    assert any(v.shape is Shape.CIRCLE or v.icon == "circle" for v in views)
+    assert any(v.shape is Shape.ROUNDED for v in views)
+    assert {s.fullscreen for s in states} == {True, False}
+    canvases = benchmark(lambda: [render_screen(wm) for wm in wms])
+    assert [c.pixels.shape for c in canvases] == [(640, 360, 3)] * len(wms)
 
 
 def test_micro_resize(benchmark, screen_image):

@@ -10,11 +10,11 @@ sees a rendering style it wasn't trained on.
 Sensor noise is the costliest part of a screenshot (691,200 Gaussian
 draws per 640x360 frame), and it depends on nothing but the noise
 generator's state, so :func:`render_screen` takes it from a helper
-thread when a core is idle: drawn ahead, right after the generator's
-previous screenshot, or while the calling thread rasterises
-(``Generator.standard_normal`` releases the GIL).  Pixels and the
-generator's state are bit-identical to rasterising first and calling
-``Canvas.add_noise`` after.
+thread when a core is idle: drawn up to two frames ahead, from the
+generator's previous screenshot on, or while the calling thread
+rasterises (``Generator.standard_normal`` releases the GIL).  Pixels and
+the generator's state are bit-identical to rasterising first and
+calling ``Canvas.add_noise`` after.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from __future__ import annotations
 import copy
 import os
 import threading
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -138,123 +138,202 @@ def _same_state(a, b) -> bool:
     return a == b
 
 
+class _Frame:
+    """One frame of noise in the helper's queue."""
+
+    __slots__ = ("noise", "start", "end", "drawn", "error")
+
+    def __init__(self, noise: np.ndarray, start: Optional[dict]) -> None:
+        self.noise = noise
+        # The generator's state where the frame begins: the caller's for
+        # the first frame, the end of the frame before it otherwise (None
+        # until that one is complete).
+        self.start = start
+        self.end: Optional[dict] = None  # the clone's state once complete
+        self.drawn = 0                   # rows the helper has drawn
+        self.error: Optional[BaseException] = None  # raised by its draw
+
+
 class _LookAhead:
-    """The process's one noise helper: a thread, a frame and one draw.
+    """The process's one noise helper: a thread, two frames and a queue.
 
-    A draw fills the one float32 frame, in whole ``NOISE_ROWS`` blocks
-    and in row order, from a private clone of a noise generator (its
-    ``bit_generator.state`` copied when the draw starts), so the source
-    generator is never touched until a render takes the frame over.
-    :meth:`claim` gives a render the draw when one is pending for a
-    generator whose state still equals the clone's start state, with the
-    same frame shape and scale (a look-ahead), or starts one for the
-    current frame when a core is idle (:func:`_core_idle`).
-    :meth:`finish` then stops the helper after its block, draws the rows
-    it did not reach from the clone, adds and clips the frame, and only
-    then copies the clone's end state into the generator.  So outside a
-    render the generator is always in its sequential state, and throwing
-    a draw away (:meth:`drop`, or a :meth:`claim` for another state) is
-    always safe.
+    The queue holds up to two frames of one noise generator's stream in
+    order.  The helper draws them one after the other, in whole
+    ``NOISE_ROWS`` blocks and in row order, from one private clone of the
+    generator (its ``bit_generator.state`` copied when the queue starts),
+    so the source generator is never touched until a render commits a
+    frame.  Each frame records its start state and, once complete, a
+    snapshot of its end state.
 
-    :meth:`look_ahead` starts drawing the next frame as soon as a render
-    has applied its noise, but only for a generator that fed the render
-    before too (a device's, whose screenshots follow one another; not
-    the one-shot generators of ``datagen.corpus.render_state``).  There
-    is one pending draw at most, the object holds one caller generator
-    (the last render's), and the frame and the float64 block buffer are
-    allocated once per frame shape: a render that finds the draw owned
-    by another render (daemon session threads) draws inline with
-    ``Canvas.add_noise``, which calls the same :func:`draw_noise`.
+    :meth:`claim` gives a render the queue's head frame when the
+    generator's state still equals the frame's start state, with the same
+    frame shape and scale (a look-ahead); any mismatch discards the whole
+    queue.  Otherwise, when a core is idle (:func:`_core_idle`), it
+    starts a queue of the current frame alone for the helper to draw
+    while the caller rasterises.  :meth:`finish` then applies the head.
+    A complete head, or one the helper has drawn at least half of (it
+    waits for the rest), is added and clipped in place while the helper
+    goes on with the next frame, and its end state is copied into the
+    generator.  A head less than half drawn (a helper that started late
+    or is held up) stops the helper after its block, the rows it did not
+    reach are drawn here from the clone, and the queue is dropped; for a
+    generator that fed the render before, the look-ahead starts over from
+    the clone before the head is applied.  So outside a render the
+    generator is always in its sequential state, and throwing frames
+    away (:meth:`drop`, or a :meth:`claim` for another state) is always
+    safe.
+
+    :meth:`look_ahead` tops the queue up to two frames as soon as a
+    render has applied its noise, but only for a generator that fed the
+    render before too (a device's, whose screenshots follow one another;
+    not the one-shot generators of ``datagen.corpus.render_state``).  The
+    object holds one caller generator (the last render's); the two
+    float32 frames and the float64 block buffer are allocated once per
+    frame shape.  A render that finds the queue owned by another render
+    (daemon session threads) draws inline with ``Canvas.add_noise``,
+    which calls the same :func:`draw_noise`.
     """
+
+    #: Frames the helper draws ahead of a generator's renders.
+    DEPTH = 2
 
     def __init__(self) -> None:
         self._cond = threading.Condition()
         self._thread: Optional[threading.Thread] = None
         # Guarded by _cond.
-        self._claimed = False    # a render owns the draw
-        self._pending = False    # a draw is started and not yet used or dropped
-        self._requested = False  # the helper has a draw to pick up
-        self._drawing = False    # the helper is drawing
-        self._stop = False       # the helper stops after its block
+        self._claimed = False  # a render owns the queue's head
+        self._queue: List[_Frame] = []
+        self._drawing = False  # the helper is drawing
+        self._stop = False     # the helper stops after its block
         self._last: Optional[np.random.Generator] = None
-        # The draw; changed only while no draw is pending.
+        # Changed only while the queue is empty.
         self._clone: Optional[np.random.Generator] = None
-        self._start: Optional[dict] = None  # the clone's state at the start
         self._scale = 0.0
-        self._frame: Optional[np.ndarray] = None
+        self._buffers: List[np.ndarray] = []  # DEPTH frames of one shape
         self._scratch: Optional[np.ndarray] = None
-        self._drawn = 0  # rows the helper has drawn
-        self._error: Optional[BaseException] = None
 
     def claim(self, rng: np.random.Generator, shape: Tuple[int, ...],
               scale: float) -> bool:
-        """Own the draw of this frame's noise for ``rng``, or ``False``
+        """Own the head frame of the queue for ``rng``, or ``False``
         (draw inline) if another render owns it or no core is idle."""
         with self._cond:
             if self._claimed:
                 return False
-            if self._pending:
-                if (self._frame.shape == shape and self._scale == scale
-                        and _same_state(rng.bit_generator.state,
-                                        self._start)):
+            if self._queue:
+                if self._continues(rng, shape, scale):
                     self._claimed = True
                     return True
                 self._discard()
             if not _core_idle():
                 return False
-            self._start_draw(rng, shape, scale)
+            self._restart(rng, shape, scale)
             self._claimed = True
             return True
 
     def finish(self, rng: np.random.Generator, pixels: np.ndarray) -> None:
-        """Complete the claimed draw on this thread, add and clip it into
-        ``pixels``, and advance ``rng`` past it."""
+        """Complete the claimed frame, add and clip it into ``pixels``,
+        and advance ``rng`` past it."""
         with self._cond:
-            self._halt()
+            head = self._queue[0]
+            # A helper past half the frame is keeping up: wait for it,
+            # so the stream it draws never stops.
+            while (head.end is None and head.error is None
+                   and 2 * head.drawn >= len(head.noise)):
+                self._cond.wait()
+            take_over = head.end is None
+            if take_over:
+                self._halt()
+        taken = False
         try:
-            if self._error is not None:
-                raise self._error
-            draw_noise(self._clone, self._frame[self._drawn:], self._scale,
-                       self._scratch)
-            apply_noise(pixels, self._frame)
-            rng.bit_generator.state = self._clone.bit_generator.state
+            if head.error is not None:
+                raise head.error
+            if take_over:
+                draw_noise(self._clone, head.noise[head.drawn:], self._scale,
+                           self._scratch)
+                with self._cond:
+                    self._restart_after(head, rng)
+            apply_noise(pixels, head.noise)
+            rng.bit_generator.state = head.end
+            taken = True
         finally:
             with self._cond:
-                self._pending = self._claimed = False
+                if taken:
+                    # The next frame, if any, starts at rng's new state.
+                    self._queue.pop(0)
+                else:
+                    self._discard()
+                self._claimed = False
 
     def drop(self) -> None:
-        """Throw the claimed draw away; its generator was never touched."""
+        """Throw the queue away; its generator was never touched."""
         with self._cond:
             self._discard()
             self._claimed = False
 
     def look_ahead(self, rng: np.random.Generator, shape: Tuple[int, ...],
                    scale: float) -> None:
-        """Note that ``rng`` fed a render, and start drawing its next
-        frame if it fed the render before too and a core is idle."""
+        """Note that ``rng`` fed a render, and queue its next frames if
+        it fed the render before too and the helper is busy with its
+        stream already or a core is idle."""
         with self._cond:
             previous, self._last = self._last, rng
-            if (previous is rng and not self._claimed and not self._pending
-                    and _core_idle()):
-                self._start_draw(rng, shape, scale)
+            if previous is not rng or self._claimed:
+                return
+            if self._queue and not self._continues(rng, shape, scale):
+                return  # another generator's frames: the next claim decides
+            if len(self._queue) >= self.DEPTH:
+                return
+            busy = any(frame.end is None for frame in self._queue)
+            if not (busy or _core_idle()):
+                return
+            if not self._queue:
+                self._restart(rng, shape, scale)
+            while len(self._queue) < self.DEPTH:
+                self._push(self._queue[-1].end)
 
     # -- under _cond --------------------------------------------------
 
-    def _start_draw(self, rng: np.random.Generator, shape: Tuple[int, ...],
-                    scale: float) -> None:
-        if self._frame is None or self._frame.shape != shape:
-            self._frame = np.empty(shape, dtype=np.float32)
+    def _continues(self, rng: np.random.Generator, shape: Tuple[int, ...],
+                   scale: float) -> bool:
+        """Whether the queue's head is ``rng``'s next frame."""
+        head = self._queue[0]
+        return (head.noise.shape == shape and self._scale == scale
+                and _same_state(rng.bit_generator.state, head.start))
+
+    def _restart_after(self, head: _Frame, rng: np.random.Generator) -> None:
+        """End a taken-over ``head`` at the clone's state and drop the
+        frames behind it (the helper draws in order, so it never started
+        them).  For a generator that fed the render before, the
+        look-ahead starts over from there at once, before the head is
+        applied, so the stream waits neither for the add nor for the
+        commit."""
+        head.end = self._clone.bit_generator.state
+        del self._queue[1:]
+        if self._last is rng:
+            self._push(head.end)
+
+    def _restart(self, rng: np.random.Generator, shape: Tuple[int, ...],
+                 scale: float) -> None:
+        """Start an empty queue over with ``rng``'s current frame."""
+        if not self._buffers or self._buffers[0].shape != shape:
+            self._buffers = [np.empty(shape, dtype=np.float32)
+                             for _ in range(self.DEPTH)]
             self._scratch = np.empty((NOISE_ROWS,) + shape[1:])
         if (self._clone is None or type(self._clone.bit_generator)
                 is not type(rng.bit_generator)):
             self._clone = copy.deepcopy(rng)
-        self._start = rng.bit_generator.state
-        self._clone.bit_generator.state = self._start
+        start = rng.bit_generator.state
+        self._clone.bit_generator.state = start
         self._scale = scale
-        self._drawn = 0
-        self._error = None
+        self._push(start)
+
+    def _push(self, start: Optional[dict]) -> None:
+        """Queue a frame into the buffer no queued frame uses."""
+        used = [frame.noise for frame in self._queue]
+        noise = next(b for b in self._buffers
+                     if not any(b is u for u in used))
+        self._queue.append(_Frame(noise, start))
         self._stop = False
-        self._pending = self._requested = True
         if self._thread is None:
             self._thread = threading.Thread(target=self._run,
                                             name="render-noise", daemon=True)
@@ -263,35 +342,53 @@ class _LookAhead:
 
     def _halt(self) -> None:
         """Stop the helper after its block and wait until it has."""
-        self._requested = False
         self._stop = True
         while self._drawing:
             self._cond.wait()
 
     def _discard(self) -> None:
         self._halt()
-        self._pending = False
+        self._queue.clear()
+
+    def _next_frame(self) -> Optional[_Frame]:
+        """The frame the helper draws next: the first incomplete one,
+        unless the helper is stopped or a draw failed."""
+        if self._stop:
+            return None
+        for frame in self._queue:
+            if frame.error is not None:
+                return None
+            if frame.end is None:
+                return frame
+        return None
 
     # -- the helper thread --------------------------------------------
 
     def _run(self) -> None:
         while True:
             with self._cond:
-                while not self._requested:
+                frame = self._next_frame()
+                while frame is None:
                     self._cond.wait()
-                self._requested = False
+                    frame = self._next_frame()
                 self._drawing = True
+            rows = len(frame.noise)
             try:
-                for y0 in range(0, len(self._frame), NOISE_ROWS):
+                for y0 in range(0, rows, NOISE_ROWS):
                     if self._stop:
                         break
-                    draw_noise(self._clone, self._frame[y0:y0 + NOISE_ROWS],
+                    draw_noise(self._clone, frame.noise[y0:y0 + NOISE_ROWS],
                                self._scale, self._scratch)
-                    self._drawn = y0 + NOISE_ROWS
+                    frame.drawn = min(rows, y0 + NOISE_ROWS)
             except BaseException as exc:  # re-raised by finish()
-                self._error = exc
+                frame.error = exc
             with self._cond:
                 self._drawing = False
+                if frame.error is None and frame.drawn == rows:
+                    frame.end = self._clone.bit_generator.state
+                    following = self._queue.index(frame) + 1
+                    if following < len(self._queue):
+                        self._queue[following].start = frame.end
                 self._cond.notify_all()
 
 

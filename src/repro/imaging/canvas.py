@@ -9,7 +9,8 @@ describes.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+import math
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -59,8 +60,24 @@ def apply_noise(pixels: np.ndarray, noise: np.ndarray) -> None:
         np.clip(block, 0.0, 1.0, out=block)
 
 
+def clamp_alpha(alpha: float) -> float:
+    """``alpha`` as a float clamped to [0, 1]; a NaN raises ``ValueError``.
+
+    Every primitive's ``alpha`` goes through here: a NaN would otherwise
+    pass the clamp and blend NaN into every pixel it covers.
+    """
+    alpha = float(alpha)
+    if alpha != alpha:
+        raise ValueError(f"alpha must be a number, got {alpha!r}")
+    return min(max(alpha, 0.0), 1.0)
+
+
 class Canvas:
-    """An ``(H, W, 3)`` float32 RGB raster with [0, 1] channels."""
+    """An ``(H, W, 3)`` float32 RGB raster with [0, 1] channels.
+
+    ``pixels`` is C-contiguous (every constructor makes it so): a masked
+    blend writes through a reshaped view of each region's rows.
+    """
 
     def __init__(self, width: int, height: int, background: Optional[Color] = None):
         if width <= 0 or height <= 0:
@@ -85,13 +102,21 @@ class Canvas:
 
     def _clip(self, rect: Rect) -> Optional[Tuple[int, int, int, int]]:
         """Integer (y0, y1, x0, x1) slice bounds for a rect, or None."""
-        r = rect.clipped_to(self.bounds)
-        if r.is_empty():
+        return self._clip_box(rect.x, rect.y, rect.w, rect.h)
+
+    def _clip_box(self, x: float, y: float, w: float,
+                  h: float) -> Optional[Tuple[int, int, int, int]]:
+        """:meth:`_clip` of ``Rect(x, y, w, h)``: the arithmetic of
+        ``Rect.clipped_to(self.bounds)`` (whose right edge is
+        ``left + (right - left)``), then floor and ceil, without
+        building either rect."""
+        left, top = max(x, 0), max(y, 0)
+        right, bottom = min(x + w, self.width), min(y + h, self.height)
+        if right <= left or bottom <= top:
             return None
-        x0, y0 = int(np.floor(r.left)), int(np.floor(r.top))
-        x1, y1 = int(np.ceil(r.right)), int(np.ceil(r.bottom))
-        x0, x1 = max(0, x0), min(self.width, x1)
-        y0, y1 = max(0, y0), min(self.height, y1)
+        x0, y0 = max(0, math.floor(left)), max(0, math.floor(top))
+        x1 = min(self.width, math.ceil(left + (right - left)))
+        y1 = min(self.height, math.ceil(top + (bottom - top)))
         if x1 <= x0 or y1 <= y0:
             return None
         return y0, y1, x0, x1
@@ -101,25 +126,38 @@ class Canvas:
     def _blend_region(
         self, y0: int, y1: int, x0: int, x1: int, color: Color, alpha: float
     ) -> None:
-        alpha = float(np.clip(alpha, 0.0, 1.0))
+        """Blend ``color`` over a pixel box; ``alpha`` is clamped."""
         if alpha <= 0.0:
             return
         region = self.pixels[y0:y1, x0:x1]
-        region *= 1.0 - alpha
         # The same float32 ink per pixel, laid out a whole row wide: a
         # bare (3,) operand would make NumPy's inner loop 3 elements long.
-        region += np.tile(alpha * color.as_array(), (x1 - x0, 1))
+        ink = np.empty((x1 - x0, 3), dtype=np.float32)
+        ink[...] = alpha * color.as_array()
+        if alpha == 1.0 and not np.signbit(ink[0]).any():
+            # x * 0.0 is +-0 for a finite x, and +-0 + ink is ink unless
+            # ink is -0.0: the same bits as the blend below.
+            region[...] = ink
+        else:
+            region *= 1.0 - alpha
+            region += ink
 
     def _blend_mask(self, y0: int, y1: int, x0: int, x1: int, mask: np.ndarray,
                     color: Color, alpha: float) -> None:
-        """Blend ``color`` where ``mask`` (float in [0,1]) is positive."""
-        alpha = float(np.clip(alpha, 0.0, 1.0))
+        """Blend ``color`` weighted by ``mask`` (float in [0,1]) times
+        ``alpha`` (clamped) over a pixel box."""
         if alpha <= 0.0:
             return
-        a = (mask * alpha)[..., None].astype(np.float32)
-        region = self.pixels[y0:y1, x0:x1]
+        h, w = mask.shape
+        # Each row's channels as one contiguous run of 3w floats, with
+        # the per-pixel weight repeated per channel and the ink tiled
+        # along the row: the float32 arithmetic of an (h, w, 1) weight
+        # broadcast over (h, w, 3), in row-long inner loops.
+        region = self.pixels[y0:y1, x0:x1].reshape(h, 3 * w)
+        a = np.repeat((mask * alpha).astype(np.float32, copy=False), 3, axis=1)
         region *= 1.0 - a
-        region += a * color.as_array()
+        a *= np.tile(color.as_array(), w)
+        region += a
 
     def blend_counts(self, y0: int, x0: int, counts: np.ndarray, color: Color,
                      alpha: float) -> None:
@@ -129,7 +167,7 @@ class Canvas:
         with one vectorised blend per overlap depth instead of one per
         rect.  ``counts`` must lie inside the canvas.
         """
-        alpha = float(np.clip(alpha, 0.0, 1.0))
+        alpha = clamp_alpha(alpha)
         if alpha <= 0.0:
             return
         h, w = counts.shape
@@ -142,12 +180,28 @@ class Canvas:
             layer += ink
             region[covered] = layer
 
+    def _blend_boxes(self, boxes: Sequence[Tuple[int, int, int, int]],
+                     color: Color, alpha: float) -> None:
+        """One ``fill_rect`` blend per clipped box (all sharing colour
+        and ``alpha``), as one :meth:`blend_counts` over their union."""
+        if not boxes or alpha <= 0.0:
+            return
+        y0 = min(b[0] for b in boxes)
+        y1 = max(b[1] for b in boxes)
+        x0 = min(b[2] for b in boxes)
+        x1 = max(b[3] for b in boxes)
+        counts = np.zeros((y1 - y0, x1 - x0), dtype=np.intp)
+        for by0, by1, bx0, bx1 in boxes:
+            counts[by0 - y0:by1 - y0, bx0 - x0:bx1 - x0] += 1
+        self.blend_counts(y0, x0, counts, color, alpha)
+
     # -- primitives ---------------------------------------------------------
 
     def fill(self, color: Color) -> None:
         self.pixels[:] = color.as_array()
 
     def fill_rect(self, rect: Rect, color: Color, alpha: float = 1.0) -> None:
+        alpha = clamp_alpha(alpha)
         clip = self._clip(rect)
         if clip is None:
             return
@@ -169,6 +223,7 @@ class Canvas:
     def fill_rounded_rect(self, rect: Rect, color: Color, radius: float,
                           alpha: float = 1.0) -> None:
         """Rect with circular corners — the shape of most app buttons."""
+        alpha = clamp_alpha(alpha)
         clip = self._clip(rect)
         if clip is None:
             return
@@ -186,10 +241,12 @@ class Canvas:
         dist = np.sqrt(dx * dx + dy * dy)
         mask = np.clip(radius - dist + 0.5, 0.0, 1.0) if radius > 0 else (dist <= 0).astype(np.float32)
         # For radius == 0 dist is 0 inside the rect, so mask is the full box.
-        self._blend_mask(y0, y1, x0, x1, mask.astype(np.float32), color, alpha)
+        self._blend_mask(y0, y1, x0, x1, mask.astype(np.float32, copy=False),
+                         color, alpha)
 
     def fill_circle(self, cx: float, cy: float, radius: float, color: Color,
                     alpha: float = 1.0) -> None:
+        alpha = clamp_alpha(alpha)
         rect = Rect.from_center(cx, cy, 2 * radius, 2 * radius)
         clip = self._clip(rect)
         if clip is None:
@@ -204,26 +261,42 @@ class Canvas:
     def draw_line(self, x0: float, y0: float, x1: float, y1: float,
                   color: Color, thickness: int = 2, alpha: float = 1.0) -> None:
         """A straight segment rendered as a series of filled squares."""
-        length = max(abs(x1 - x0), abs(y1 - y0))
-        steps = max(2, int(np.ceil(length)))
-        t = max(1, int(thickness))
-        for i in range(steps + 1):
-            f = i / steps
-            px = x0 + (x1 - x0) * f
-            py = y0 + (y1 - y0) * f
-            self.fill_rect(Rect.from_center(px, py, t, t), color, alpha=alpha)
+        alpha = clamp_alpha(alpha)
+        self._blend_boxes(self._line_boxes(x0, y0, x1, y1, thickness),
+                          color, alpha)
 
     def draw_cross(self, cx: float, cy: float, size: float, color: Color,
                    thickness: int = 2, alpha: float = 1.0) -> None:
         """An 'X' glyph — the universal close-button icon."""
+        alpha = clamp_alpha(alpha)
         half = size / 2.0
-        self.draw_line(cx - half, cy - half, cx + half, cy + half, color,
-                       thickness=thickness, alpha=alpha)
-        self.draw_line(cx - half, cy + half, cx + half, cy - half, color,
-                       thickness=thickness, alpha=alpha)
+        boxes = (self._line_boxes(cx - half, cy - half, cx + half, cy + half,
+                                  thickness)
+                 + self._line_boxes(cx - half, cy + half, cx + half,
+                                    cy - half, thickness))
+        self._blend_boxes(boxes, color, alpha)
+
+    def _line_boxes(self, x0: float, y0: float, x1: float, y1: float,
+                    thickness: int) -> List[Tuple[int, int, int, int]]:
+        """The clipped pixel boxes of a line's squares: ``steps + 1``
+        squares of side ``thickness`` centred at evenly spaced points,
+        each placed as ``Rect.from_center`` places it."""
+        length = max(abs(x1 - x0), abs(y1 - y0))
+        steps = max(2, math.ceil(length))
+        t = max(1, int(thickness))
+        half = t / 2.0
+        boxes = []
+        for i in range(steps + 1):
+            f = i / steps
+            box = self._clip_box(x0 + (x1 - x0) * f - half,
+                                 y0 + (y1 - y0) * f - half, t, t)
+            if box is not None:
+                boxes.append(box)
+        return boxes
 
     def fill_vertical_gradient(self, rect: Rect, top: Color, bottom: Color,
                                alpha: float = 1.0) -> None:
+        alpha = clamp_alpha(alpha)
         clip = self._clip(rect)
         if clip is None:
             return
@@ -232,7 +305,6 @@ class Canvas:
         ts = ((np.arange(y0, y1, dtype=np.float32) + 0.5 - rect.top) / span)
         ts = np.clip(ts, 0.0, 1.0)[:, None, None]
         grad = (1.0 - ts) * top.as_array() + ts * bottom.as_array()
-        alpha = float(np.clip(alpha, 0.0, 1.0))
         region = self.pixels[y0:y1, x0:x1]
         region *= 1.0 - alpha
         region += alpha * grad
@@ -273,5 +345,5 @@ class Canvas:
         if array.ndim != 3 or array.shape[2] != 3:
             raise ValueError(f"expected (H, W, 3) array, got {array.shape}")
         canvas = cls(array.shape[1], array.shape[0])
-        canvas.pixels = np.clip(array.astype(np.float32), 0.0, 1.0)
+        canvas.pixels = np.clip(array.astype(np.float32, order="C"), 0.0, 1.0)
         return canvas

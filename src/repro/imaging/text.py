@@ -18,7 +18,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from repro.geometry.rect import Rect
-from repro.imaging.canvas import Canvas
+from repro.imaging.canvas import Canvas, clamp_alpha
 from repro.imaging.color import Color
 
 #: Width of a glyph cell relative to the text size (height).
@@ -74,35 +74,33 @@ def _cell_span(start: float, length: float, limit: int) -> Optional[Tuple[int, i
     return (p0, p1) if p1 > p0 else None
 
 
-def draw_pseudo_text(
-    canvas: Canvas,
-    text: str,
-    x: float,
-    y: float,
-    size: float,
-    color: Color,
-    alpha: float = 1.0,
-) -> Rect:
-    """Draw ``text`` with its top-left at ``(x, y)``; returns its bounds.
+#: Coverage maps kept by :func:`_coverage`.  A session re-renders the
+#: same views at the same positions; each entry is a few KB.
+_COVERAGE_MEMO = 1024
 
-    ``size`` is the text height in pixels.  Glyphs are drawn as 5x3 cell
-    grids of filled blocks.  The pixels are exactly those of one
-    ``fill_rect`` per lit cell: each pixel is blended once per lit cell
-    that covers it (cells of one call share colour and alpha, so the
-    order of those blends does not matter).
+
+@lru_cache(maxsize=_COVERAGE_MEMO, typed=True)
+def _coverage(text: str, x: float, y: float, size: float, width: int,
+              height: int) -> Optional[Tuple[int, int, np.ndarray]]:
+    """``(y0, x0, counts)``: how many lit glyph cells of ``text`` at
+    ``(x, y)`` and height ``size`` cover each pixel of a ``width`` x
+    ``height`` canvas, over the box the cells touch; None when they
+    touch no pixel.
+
+    Memoised per argument tuple (``typed``, so a NumPy scalar and an
+    equal float, whose arithmetic can differ, are separate entries);
+    ``counts`` is a read-only array of the smallest unsigned dtype that
+    holds it, so a cached map cannot be corrupted by a caller.
     """
-    if size <= 0:
-        raise ValueError("text size must be positive")
     cursor = x
     glyph_w = size * _GLYPH_ASPECT
     gap = size * _GLYPH_GAP
     cell_h = size / 5.0
     cell_w = glyph_w / 3.0
-    bounds = Rect(x, y, pseudo_text_width(text, size), size)
     rows: List[int] = []
     row_spans: List[Tuple[int, int]] = []
     for row in range(5):
-        span = _cell_span(y + row * cell_h, cell_h, canvas.height)
+        span = _cell_span(y + row * cell_h, cell_h, height)
         if span is not None:
             rows.append(row)
             row_spans.append(span)
@@ -113,13 +111,13 @@ def draw_pseudo_text(
         pattern = _glyph_bars(char)
         if any(pattern):
             for col in range(3):
-                span = _cell_span(cursor + col * cell_w, cell_w, canvas.width)
+                span = _cell_span(cursor + col * cell_w, cell_w, width)
                 if span is not None:
                     col_spans.append(span)
                     col_cells.append(pattern[col::3])
         cursor += glyph_w + gap
     if not rows or not col_spans:
-        return bounds
+        return None
     y0 = min(s[0] for s in row_spans)
     y1 = max(s[1] for s in row_spans)
     x0 = min(s[0] for s in col_spans)
@@ -138,5 +136,36 @@ def draw_pseudo_text(
     counts = np.zeros((y1 - y0, x1 - x0), dtype=np.int64)
     for (p0, p1), line in zip(row_spans, lines):
         counts[p0 - y0:p1 - y0] += line
-    canvas.blend_counts(y0, x0, counts, color, alpha)
+    counts = counts.astype(np.min_scalar_type(counts.max()))
+    counts.flags.writeable = False
+    return y0, x0, counts
+
+
+def draw_pseudo_text(
+    canvas: Canvas,
+    text: str,
+    x: float,
+    y: float,
+    size: float,
+    color: Color,
+    alpha: float = 1.0,
+) -> Rect:
+    """Draw ``text`` with its top-left at ``(x, y)``; returns its bounds.
+
+    ``size`` is the text height in pixels.  Glyphs are drawn as 5x3 cell
+    grids of filled blocks.  The pixels are exactly those of one
+    ``fill_rect`` per lit cell: each pixel is blended once per lit cell
+    that covers it (cells of one call share colour and alpha, so the
+    order of those blends does not matter).
+    """
+    if math.isnan(size):
+        raise ValueError(f"text size must not be NaN, got {size!r}")
+    if size <= 0:
+        raise ValueError("text size must be positive")
+    alpha = clamp_alpha(alpha)
+    bounds = Rect(x, y, pseudo_text_width(text, size), size)
+    coverage = _coverage(text, x, y, size, canvas.width, canvas.height)
+    if coverage is not None:
+        y0, x0, counts = coverage
+        canvas.blend_counts(y0, x0, counts, color, alpha)
     return bounds

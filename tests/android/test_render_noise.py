@@ -1,16 +1,19 @@
-"""Sensor noise drawn on the helper thread: ahead of the next screenshot,
-or while the window stack rasterises.
+"""Sensor noise drawn on the helper thread: up to two frames ahead of a
+generator's screenshots, or while the window stack rasterises.
 
 ``render_screen`` must give the same pixels, and leave the noise
 generator in the same state, as rasterising first and then adding the
 full-frame noise (the reference below, the formula
 ``tests/imaging/test_canvas.py`` keeps).  These tests cover corpus
 screens (windowed, full-screen, with overlays), the hand-over of the
-rows the helper has not reached, the look-ahead (taken, discarded, never
-seen from outside a render, never started for one-shot generators), the
-idle-core check, the inline path a render takes when no core is idle or
-another render owns the draw, the error paths, stub screenshots, and
-fork children of a process that has rendered.
+rows the helper has not reached, the two-frame look-ahead queue (a
+complete head taken while the helper draws the next frame, an
+incomplete head taken over and the queue dropped, frames discarded by a
+draw between renders, never seen from outside a render, never started
+for one-shot generators), the idle-core check, the inline path a render
+takes when no core is idle or another render owns the queue, the error
+paths, stub screenshots, and fork children of a process that has
+rendered.
 """
 
 import multiprocessing
@@ -53,10 +56,10 @@ def _same_generator(a, b):
 
 
 def _slot_is_free():
-    """No render owns the helper's draw and no draw is pending."""
+    """No render owns the helper's queue and no frame is queued."""
     helper = renderer._helper
     with helper._cond:
-        return not (helper._claimed or helper._pending)
+        return not (helper._claimed or helper._queue)
 
 
 class _HoldSlot:
@@ -232,22 +235,29 @@ class TestHelperThread:
         assert _slot_is_free()
 
     def test_helpers_reuse_one_frame_buffer(self, corpus):
+        # The queue's frames, one per look-ahead depth, and the block
+        # buffer are allocated once per frame shape.
         wm = _window_manager(corpus.samples[0].screen)
         render_screen(wm, noise_rng=np.random.default_rng(1))
-        frame = renderer._helper._frame
+        frames = list(renderer._helper._buffers)
         scratch = renderer._helper._scratch
-        assert frame is not None and frame.shape == (640, 360, 3)
+        assert len(frames) == renderer._LookAhead.DEPTH == 2
+        assert all(f.shape == (640, 360, 3) and f.dtype == np.float32
+                   for f in frames)
         assert scratch.shape == (NOISE_ROWS, 360, 3)
-        render_screen(_window_manager(corpus.samples[1].screen),
-                      noise_rng=np.random.default_rng(2))
-        assert renderer._helper._frame is frame
+        rng = np.random.default_rng(2)
+        for _ in range(4):  # frames taken from the look-ahead too
+            render_screen(_window_manager(corpus.samples[1].screen),
+                          noise_rng=rng)
+        assert all(a is b for a, b in zip(renderer._helper._buffers, frames))
         assert renderer._helper._scratch is scratch
         small = WindowManager(Screen(width=100, height=200))
         small.attach_app_window(View(bounds=Rect(0, 0, 100, 128),
                                      bg_color=PALETTE["white"]), "com.demo")
         rng, ref_rng = np.random.default_rng(3), np.random.default_rng(3)
         got = render_screen(small, noise_rng=rng).pixels
-        assert renderer._helper._frame.shape == (200, 100, 3)
+        assert [f.shape for f in renderer._helper._buffers] == \
+            [(200, 100, 3)] * 2
         assert np.array_equal(_bits(got), _bits(_reference(small, ref_rng)))
 
     def test_no_noise_starts_no_helper(self, corpus, monkeypatch):
@@ -470,10 +480,11 @@ class TestLookAhead:
         real = renderer._LookAhead.claim
 
         def claim(self, rng, shape, scale):
-            pending, start = self._pending, self._start
+            head = self._queue[0] if self._queue else None
             owned = real(self, rng, shape, scale)
-            # A draw started for this render would have a new start.
-            taken.append(pending and owned and self._start is start)
+            # A queue started for this render would have a new head.
+            taken.append(owned and head is not None
+                         and self._queue[0] is head)
             return owned
 
         monkeypatch.setattr(renderer._LookAhead, "claim", claim)
@@ -549,7 +560,7 @@ class TestLookAhead:
         rng, ref_rng = np.random.default_rng(8), np.random.default_rng(8)
         for step in range(4):
             if step == 2:
-                assert renderer._helper._pending
+                assert renderer._helper._queue
                 assert rng.normal(size=5).tolist() == \
                     ref_rng.normal(size=5).tolist()
             got = render_screen(wm, noise_rng=rng).pixels
@@ -569,10 +580,244 @@ class TestLookAhead:
                 _reference(wm, ref_rng)
             assert started.wait(timeout=60)
             # The look-ahead is under way and has not touched rng.
-            assert renderer._helper._pending
+            assert renderer._helper._queue
             assert rng.bit_generator.state == ref_rng.bit_generator.state
         finally:
             release.set()
+        got = render_screen(wm, noise_rng=rng).pixels
+        assert np.array_equal(_bits(got), _bits(_reference(wm, ref_rng)))
+        assert _same_generator(rng, ref_rng)
+
+    @staticmethod
+    def _frame_start(seed, frames):
+        """The state of ``default_rng(seed)`` after ``frames`` screenshots
+        of noise: where the frame after them begins."""
+        ref = np.random.default_rng(seed)
+        for _ in range(frames):
+            ref.normal(0.0, SCALE, size=(640, 360, 3))
+        return ref.bit_generator.state
+
+    @staticmethod
+    def _before_blocks_of(monkeypatch, start, before_block):
+        """Call ``before_block(k)`` on the helper, in this process, before
+        it draws block ``k`` of the queued frame that begins at generator
+        state ``start``; return the list of rows the rendering thread
+        draws, one entry per call."""
+        main, pid = threading.current_thread(), os.getpid()
+        main_rows = []
+        real = renderer.draw_noise
+
+        def spy(rng, out, *args):
+            if threading.current_thread() is main:
+                main_rows.append(len(out))
+            elif os.getpid() == pid:
+                for frame in list(renderer._helper._queue):
+                    if (frame.noise is out.base
+                            and renderer._same_state(frame.start, start)):
+                        before_block(frame.drawn // NOISE_ROWS)
+            real(rng, out, *args)
+
+        monkeypatch.setattr(renderer, "draw_noise", spy)
+        return main_rows
+
+    def test_a_complete_head_is_taken_while_the_next_frame_draws(
+            self, corpus, monkeypatch):
+        # Two renders queue frames 3 and 4; the helper is held in its
+        # first block of frame 4.
+        taken = self._record_claims(monkeypatch)
+        started, release = threading.Event(), threading.Event()
+
+        def hold(block):
+            started.set()
+            assert release.wait(timeout=60)
+
+        self._before_blocks_of(monkeypatch, self._frame_start(15, 3), hold)
+        helper = renderer._helper
+        wm = _window_manager(corpus.samples[4].screen, overlays=1)
+        rng, ref_rng = np.random.default_rng(15), np.random.default_rng(15)
+        try:
+            for _ in range(2):
+                render_screen(wm, noise_rng=rng)
+                _reference(wm, ref_rng)
+            assert started.wait(timeout=60)
+            head, following = helper._queue
+            assert head.end is not None and following.end is None
+            got = render_screen(wm, noise_rng=rng).pixels
+            # Taken without stopping the helper, still in its block; the
+            # queue is topped up behind the frame it draws.
+            assert helper._drawing and not helper._stop
+            assert helper._queue[0] is following
+            assert len(helper._queue) == 2
+        finally:
+            release.set()
+        assert np.array_equal(_bits(got), _bits(_reference(wm, ref_rng)))
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        got = render_screen(wm, noise_rng=rng).pixels
+        assert np.array_equal(_bits(got), _bits(_reference(wm, ref_rng)))
+        assert taken == [False, False, True, True]
+        assert _same_generator(rng, ref_rng)
+
+    def test_a_take_over_of_an_incomplete_head_drops_the_queue(
+            self, corpus, monkeypatch):
+        # The helper draws two blocks of frame 3, then is held before its
+        # third until the third render stops it: it draws three blocks,
+        # the rendering thread the rest, and frame 4 behind it is never
+        # started.  The look-ahead starts over before frame 3 is applied.
+        helper = renderer._helper
+        release, second, halting = (threading.Event(), threading.Event(),
+                                    threading.Event())
+        real_raster = renderer._rasterise
+        real_halt, real_apply = renderer._LookAhead._halt, renderer.apply_noise
+        restarted = []
+
+        def hold(block):
+            if block == 1:  # until the third render has rasterised
+                assert release.wait(timeout=60)
+            elif block == 2:  # until that render stops the helper
+                second.set()
+                assert halting.wait(timeout=60)
+
+        def raster(wm, canvas):
+            real_raster(wm, canvas)
+            release.set()
+            assert second.wait(timeout=60)
+
+        def halt(self):
+            halting.set()
+            real_halt(self)
+
+        def apply(pixels, noise):
+            queue = helper._queue
+            restarted.append(len(queue) == 2 and queue[1] is not following
+                             and not helper._stop)
+            real_apply(pixels, noise)
+
+        main_rows = self._before_blocks_of(
+            monkeypatch, self._frame_start(17, 2), hold)
+        wm = _window_manager(corpus.samples[5].screen)
+        rng, ref_rng = np.random.default_rng(17), np.random.default_rng(17)
+        for _ in range(2):
+            render_screen(wm, noise_rng=rng)
+            _reference(wm, ref_rng)
+        head, following = helper._queue
+        del main_rows[:]
+        monkeypatch.setattr(renderer, "_rasterise", raster)
+        monkeypatch.setattr(renderer._LookAhead, "_halt", halt)
+        monkeypatch.setattr(renderer, "apply_noise", apply)
+        got = render_screen(wm, noise_rng=rng).pixels
+        assert head.drawn == 3 * NOISE_ROWS
+        assert main_rows == [wm.screen.height - 3 * NOISE_ROWS]
+        assert following.drawn == 0 and following.end is None
+        assert all(frame is not head and frame is not following
+                   for frame in helper._queue)
+        assert restarted == [True]
+        assert np.array_equal(_bits(got), _bits(_reference(wm, ref_rng)))
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        # The new look-ahead starts at the committed state.
+        assert renderer._same_state(helper._queue[0].start,
+                                    rng.bit_generator.state)
+        got = render_screen(wm, noise_rng=rng).pixels
+        assert np.array_equal(_bits(got), _bits(_reference(wm, ref_rng)))
+        assert _same_generator(rng, ref_rng)
+
+    def test_a_head_half_drawn_is_waited_for(self, corpus, monkeypatch):
+        # The helper is held with half of frame 3 drawn until the third
+        # render has rasterised: that render waits for the rest instead
+        # of stopping the helper, and frame 4 stays queued.
+        helper = renderer._helper
+        started, release = threading.Event(), threading.Event()
+        real_raster = renderer._rasterise
+        wm = _window_manager(corpus.samples[13].screen)
+        rows = wm.screen.height
+        assert (rows // 2) % NOISE_ROWS == 0
+
+        def hold(block):
+            if block == rows // 2 // NOISE_ROWS:
+                started.set()
+                assert release.wait(timeout=60)
+
+        def raster(wm, canvas):
+            real_raster(wm, canvas)
+            release.set()
+
+        def halt(self):
+            raise AssertionError("a half-drawn head was taken over")
+
+        main_rows = self._before_blocks_of(
+            monkeypatch, self._frame_start(18, 2), hold)
+        rng, ref_rng = np.random.default_rng(18), np.random.default_rng(18)
+        for _ in range(2):
+            render_screen(wm, noise_rng=rng)
+            _reference(wm, ref_rng)
+        assert started.wait(timeout=60)
+        head, following = helper._queue
+        assert head.drawn == rows // 2
+        del main_rows[:]
+        monkeypatch.setattr(renderer, "_rasterise", raster)
+        monkeypatch.setattr(renderer._LookAhead, "_halt", halt)
+        got = render_screen(wm, noise_rng=rng).pixels
+        assert main_rows == [] and head.drawn == rows
+        assert helper._queue[0] is following
+        assert np.array_equal(_bits(got), _bits(_reference(wm, ref_rng)))
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        monkeypatch.undo()
+        got = render_screen(wm, noise_rng=rng).pixels
+        assert np.array_equal(_bits(got), _bits(_reference(wm, ref_rng)))
+        assert _same_generator(rng, ref_rng)
+
+    @pytest.mark.parametrize("bit_generator", [
+        np.random.PCG64, np.random.MT19937, np.random.Philox,
+        np.random.SFC64])
+    def test_a_draw_between_renders_discards_both_frames(
+            self, corpus, monkeypatch, bit_generator):
+        taken = self._record_claims(monkeypatch)
+        helper = renderer._helper
+        wm = _window_manager(corpus.samples[10].screen, overlays=1)
+        rng = np.random.Generator(bit_generator(31))
+        ref_rng = np.random.Generator(bit_generator(31))
+        for step in range(5):
+            if step == 2:
+                queued = list(helper._queue)
+                assert len(queued) == 2
+                assert rng.normal(size=5).tolist() == \
+                    ref_rng.normal(size=5).tolist()
+            got = render_screen(wm, noise_rng=rng).pixels
+            assert np.array_equal(_bits(got), _bits(_reference(wm, ref_rng)))
+            assert renderer._same_state(rng.bit_generator.state,
+                                        ref_rng.bit_generator.state)
+            if step == 2:
+                assert not any(frame is old for frame in helper._queue
+                               for old in queued)
+        assert taken == [False, False, False, True, True]
+        assert rng.normal() == ref_rng.normal()
+
+    def test_an_error_in_the_second_frame_surfaces_from_its_render(
+            self, corpus, monkeypatch):
+        # Two renders queue frames 3 and 4; the helper's draw of frame 4
+        # fails.  The render that takes frame 3 does not see it; the one
+        # that takes frame 4 raises it.
+        failed = threading.Event()
+        real_draw = renderer.draw_noise
+
+        def fail(block):
+            failed.set()
+            raise RuntimeError("second frame failed")
+
+        self._before_blocks_of(monkeypatch, self._frame_start(16, 3), fail)
+        wm = _window_manager(corpus.samples[11].screen)
+        rng, ref_rng = np.random.default_rng(16), np.random.default_rng(16)
+        for _ in range(2):
+            render_screen(wm, noise_rng=rng)
+            _reference(wm, ref_rng)
+        assert failed.wait(timeout=60)
+        got = render_screen(wm, noise_rng=rng).pixels
+        assert np.array_equal(_bits(got), _bits(_reference(wm, ref_rng)))
+        before = rng.bit_generator.state
+        with pytest.raises(RuntimeError, match="second frame failed"):
+            render_screen(wm, noise_rng=rng)
+        assert rng.bit_generator.state == before
+        assert _slot_is_free()
+        monkeypatch.setattr(renderer, "draw_noise", real_draw)
         got = render_screen(wm, noise_rng=rng).pixels
         assert np.array_equal(_bits(got), _bits(_reference(wm, ref_rng)))
         assert _same_generator(rng, ref_rng)
@@ -589,7 +834,7 @@ class TestLookAhead:
         for _ in range(2):
             render_screen(wm, noise_rng=rng)
             _reference(wm, ref_rng)
-        assert renderer._helper._pending
+        assert renderer._helper._queue
         real_tree = renderer.render_view_tree
 
         def broken(canvas, root, offset):
@@ -658,7 +903,7 @@ class TestForkSafety:
             for _ in range(2):
                 render_screen(wm, noise_rng=rng)
             assert started.wait(timeout=60)
-            assert renderer._helper._pending
+            assert renderer._helper._queue
             frames, slot_free = _fork_and_render(wm, 22)
         finally:
             release.set()
@@ -667,3 +912,32 @@ class TestForkSafety:
         assert slot_free
         # The parent's look-ahead survives the fork.
         assert render_screen(wm, noise_rng=rng).pixels.tobytes() == want[2]
+
+    def test_fork_while_the_second_frame_draws(self, corpus, monkeypatch):
+        # Two renders queue frames 3 and 4; the helper is held in its
+        # first block of frame 4.
+        started, release = threading.Event(), threading.Event()
+
+        def hold(block):
+            started.set()
+            assert release.wait(timeout=60)
+
+        TestLookAhead._before_blocks_of(
+            monkeypatch, TestLookAhead._frame_start(23, 3), hold)
+        wm = _window_manager(corpus.samples[12].screen, overlays=1)
+        rng = np.random.default_rng(23)
+        try:
+            for _ in range(2):
+                render_screen(wm, noise_rng=rng)
+            assert started.wait(timeout=60)
+            assert renderer._helper._drawing
+            frames, slot_free = _fork_and_render(wm, 23)
+        finally:
+            release.set()
+        want = _reference_frames(wm, 23, n=4)
+        assert frames == want[:3]
+        assert slot_free
+        # The parent's queue survives the fork: both frames are taken.
+        for k in (2, 3):
+            assert render_screen(wm, noise_rng=rng).pixels.tobytes() == \
+                want[k]

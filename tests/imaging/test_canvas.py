@@ -5,6 +5,7 @@ import pytest
 
 from repro.geometry import Rect
 from repro.imaging import Canvas, Color
+from repro.imaging.canvas import clamp_alpha
 from repro.imaging.color import BLACK, PALETTE, WHITE
 
 
@@ -35,6 +36,15 @@ class TestConstruction:
         arr = np.full((4, 4, 3), 2.0)
         c = Canvas.from_array(arr)
         assert c.pixels.max() == 1.0
+
+    def test_from_array_is_c_contiguous(self):
+        # A masked blend writes through a reshaped view of each row.
+        array = np.asfortranarray(
+            np.random.default_rng(0).random((20, 30, 3), dtype=np.float32))
+        canvas = Canvas.from_array(array)
+        assert canvas.pixels.flags.c_contiguous
+        canvas.fill_circle(15, 10, 6, BLACK)
+        assert canvas.pixels[10, 15].max() == 0.0
 
     def test_to_array_is_copy(self, canvas):
         arr = canvas.to_array()
@@ -126,6 +136,46 @@ class TestGradient:
         mid = canvas.pixels[40, 50].mean()
         bot = canvas.pixels[78, 50].mean()
         assert top < mid < bot
+
+
+class TestNanAlphaIsRejected:
+    """A NaN alpha passed the old ``np.clip`` and blended NaN into every
+    pixel it covered; every primitive now raises instead."""
+
+    NAN = float("nan")
+
+    @pytest.mark.parametrize("draw", [
+        lambda c, a: c.fill_rect(Rect(10, 10, 20, 20), BLACK, alpha=a),
+        lambda c, a: c.fill_rect(Rect(500, 500, 5, 5), BLACK, alpha=a),
+        lambda c, a: c.stroke_rect(Rect(10, 10, 20, 20), BLACK, alpha=a),
+        lambda c, a: c.fill_rounded_rect(Rect(10, 10, 20, 20), BLACK, 4,
+                                         alpha=a),
+        lambda c, a: c.fill_circle(40, 40, 6, BLACK, alpha=a),
+        lambda c, a: c.draw_line(5, 5, 60, 30, BLACK, alpha=a),
+        lambda c, a: c.draw_cross(40, 40, 12, BLACK, alpha=a),
+        lambda c, a: c.draw_cross(-90, 40, 12, BLACK, alpha=a),
+        lambda c, a: c.fill_vertical_gradient(Rect(0, 0, 100, 80), BLACK,
+                                              WHITE, alpha=a),
+        lambda c, a: c.blend_counts(0, 0, np.ones((4, 4), dtype=np.int64),
+                                    BLACK, a),
+    ], ids=["fill_rect", "fill_rect_offscreen", "stroke_rect",
+            "fill_rounded_rect", "fill_circle", "draw_line", "draw_cross",
+            "draw_cross_offscreen",
+            "fill_vertical_gradient", "blend_counts"])
+    @pytest.mark.parametrize("nan", [float("nan"), np.float32("nan")])
+    def test_raises_and_leaves_pixels(self, canvas, draw, nan):
+        before = canvas.to_array()
+        with pytest.raises(ValueError, match="alpha must be a number, "
+                                             "got nan"):
+            draw(canvas, nan)
+        assert np.array_equal(canvas.pixels, before)
+
+    def test_clamp_keeps_every_other_value(self):
+        for alpha, want in [(-1.0, 0.0), (0.0, 0.0), (0.25, 0.25),
+                            (1, 1.0), (3.5, 1.0), (float("inf"), 1.0),
+                            (float("-inf"), 0.0), (np.float32(0.5), 0.5)]:
+            got = clamp_alpha(alpha)
+            assert type(got) is float and got == want
 
 
 class TestNoiseAndSampling:

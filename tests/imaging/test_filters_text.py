@@ -142,6 +142,22 @@ class TestPseudoText:
             draw_pseudo_text(canvas, "x", 0, 0, 0, BLACK)
 
 
+class TestPseudoTextRejectsNan:
+    def test_nan_size_has_its_own_message(self):
+        canvas = Canvas(10, 10)
+        with pytest.raises(ValueError, match="text size must not be NaN"):
+            draw_pseudo_text(canvas, "x", 0, 0, float("nan"), BLACK)
+
+    def test_nan_alpha_raises_and_leaves_pixels(self):
+        canvas = Canvas(30, 20)
+        before = canvas.to_array()
+        for x in (2.0, 500.0):  # on and off the canvas
+            with pytest.raises(ValueError, match="alpha must be a number"):
+                draw_pseudo_text(canvas, "Close", x, 2.0, 9.0, WHITE,
+                                 alpha=float("nan"))
+        assert np.array_equal(canvas.pixels, before)
+
+
 # -- reference equivalence ---------------------------------------------------
 #
 # The per-cell loop below is the original pseudo-text renderer: one
