@@ -1,20 +1,26 @@
-"""repro.analysis — darpalint, the repo's determinism linter.
+"""repro.analysis — darpalint and darpaflow, the repo's determinism gates.
 
-A zero-dependency (stdlib ``ast``) static-analysis engine enforcing
-the invariant every serving-path layer is built on: behaviour is a
-pure function of the simulated clock and explicit seeds, so
-sequential and sharded runs are byte-identical.
+Zero-dependency (stdlib ``ast``) static analysis enforcing the
+invariant every serving-path layer is built on: behaviour is a pure
+function of the simulated clock and explicit seeds, so sequential and
+sharded runs are byte-identical.
 
 - :mod:`repro.analysis.engine` — AST walker with parent/scope links,
   :class:`Finding` records, inline suppressions, stable ordering;
-- :mod:`repro.analysis.rules` — DL001–DL006 (wall clocks, unseeded
+- :mod:`repro.analysis.rules` — DL001–DL008 (wall clocks, unseeded
   RNGs, unordered merge iteration, float accumulation, swallowed
-  exceptions, mutable defaults);
+  exceptions, mutable defaults, undocumented matmul reductions,
+  unsorted listings);
 - :mod:`repro.analysis.config` — ``[tool.darpalint]`` allowlists and
   excludes from ``pyproject.toml``;
-- :mod:`repro.analysis.reporters` — deterministic text/JSON reports;
+- :mod:`repro.analysis.flow` — darpaflow, the interprocedural taint
+  analysis (DF001–DF007) that follows nondeterministic *values* into
+  byte-exact sinks;
+- :mod:`repro.analysis.reporters` — the deterministic text/JSON
+  reports and CLI tail of both analyzers;
 - :mod:`repro.analysis.cli` — ``python -m repro lint`` /
-  ``python -m repro.analysis`` entry points (exit codes 0/1/2).
+  ``python -m repro.analysis`` entry points (exit codes in
+  :mod:`repro.exits`).
 """
 
 from repro.analysis.config import (

@@ -1,11 +1,9 @@
 """darpalint command line (``python -m repro lint`` / ``-m repro.analysis``).
 
-Exit codes follow :mod:`repro.bench.regress` conventions:
-
-- ``0`` — every linted file is clean;
-- ``1`` — at least one finding (listed on stdout);
-- ``2`` — usage error: missing path, unknown rule id, malformed
-  config (reason on stderr; argparse itself also exits 2).
+Exit codes are :mod:`repro.exits`'s: ``0`` every linted file is
+clean, ``1`` at least one finding (listed on stdout), ``2`` usage
+error — missing path, unknown rule id, malformed config, unwritable
+``--output`` (reason on stderr).
 
 The module deliberately avoids importing the rest of :mod:`repro`
 (and its numpy dependency): ``python -m repro.analysis src/`` works in
@@ -20,8 +18,9 @@ from typing import List, Optional, Sequence
 
 from repro.analysis.config import ConfigError, LintConfig, load_config
 from repro.analysis.engine import LintEngine, LintPathError
-from repro.analysis.reporters import render
+from repro.analysis.reporters import emit
 from repro.analysis.rules import default_rules, rules_for_ids
+from repro.exits import fail
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -78,8 +77,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         try:
             config = load_config(args.config)
         except ConfigError as exc:
-            print(f"lint: bad config: {exc}", file=sys.stderr)
-            return 2
+            return fail("lint", f"bad config: {exc}")
 
     if args.list_rules:
         sys.stdout.write(render_rule_list(config))
@@ -91,30 +89,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         try:
             rules = rules_for_ids(args.rules.split(","))
         except KeyError as exc:
-            print(f"lint: unknown rule id {exc.args[0]!r} "
-                  f"(known: {', '.join(sorted(r.id for r in default_rules()))})",
-                  file=sys.stderr)
-            return 2
+            known = ", ".join(sorted(r.id for r in default_rules()))
+            return fail("lint", f"unknown rule id {exc.args[0]!r} "
+                                f"(known: {known})")
 
     engine = LintEngine(rules=rules, config=config)
     try:
         findings = engine.lint_paths(list(args.paths))
     except LintPathError as exc:
-        print(f"lint: {exc}", file=sys.stderr)
-        return 2
-
-    report = render(findings, args.format)
-    if args.output:
-        try:
-            with open(args.output, "w", encoding="utf-8") as fp:
-                fp.write(report)
-        except OSError as exc:
-            print(f"lint: cannot write {args.output}: {exc}",
-                  file=sys.stderr)
-            return 2
-    else:
-        sys.stdout.write(report)
-    return 1 if findings else 0
+        return fail("lint", str(exc))
+    return emit("lint", findings, args.format, args.output)
 
 
 __all__ = ["build_parser", "main", "render_rule_list"]

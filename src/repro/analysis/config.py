@@ -159,31 +159,34 @@ def config_from_table(table: Mapping[str, object],
                 raise ConfigError(
                     f"{origin}: [tool.darpalint.allow] must be a table")
             config.allow = {
-                str(rule).upper(): _string_tuple(value[rule], origin,
-                                                 f"allow.{rule}")
+                str(rule).upper(): string_tuple(value[rule], origin,
+                                                f"allow.{rule}")
                 for rule in value}
         elif key == "exclude":
-            config.exclude = _string_tuple(value, origin, key)
+            config.exclude = string_tuple(value, origin, key)
         elif key == "dl003-functions":
-            config.dl003_functions = _string_tuple(value, origin, key)
+            config.dl003_functions = string_tuple(value, origin, key)
         elif key == "dl004-functions":
-            config.dl004_functions = _string_tuple(value, origin, key)
+            config.dl004_functions = string_tuple(value, origin, key)
         elif key == "dl007-functions":
-            config.dl007_functions = _string_tuple(value, origin, key)
+            config.dl007_functions = string_tuple(value, origin, key)
         else:
             raise ConfigError(
                 f"{origin}: unknown [tool.darpalint] key {key!r}")
     return config
 
 
-def _string_tuple(value: object, origin: str, key: str) -> Tuple[str, ...]:
+def string_tuple(value: object, origin: str, key: str,
+                 tool: str = "darpalint") -> Tuple[str, ...]:
+    """A ``[tool.<tool>]`` value as a string tuple (one string is one
+    item); anything else is a :class:`ConfigError`."""
     if isinstance(value, str):
         return (value,)
     if isinstance(value, (list, tuple)) and all(
             isinstance(item, str) for item in value):
         return tuple(value)
     raise ConfigError(
-        f"{origin}: [tool.darpalint] {key} must be a string list")
+        f"{origin}: [tool.{tool}] {key} must be a string list")
 
 
 # ---------------------------------------------------------------------------
@@ -327,4 +330,5 @@ __all__ = [
     "load_config",
     "load_tool_table",
     "rule_allowed",
+    "string_tuple",
 ]

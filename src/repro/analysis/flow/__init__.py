@@ -16,8 +16,8 @@ Layout:
   engine and :class:`FlowFinding`;
 - :mod:`~repro.analysis.flow.baseline` — line-insensitive accepted
   flows (``flow-baseline.json``);
-- :mod:`~repro.analysis.flow.reporters` / `~repro.analysis.flow.cli`
-  — deterministic text/JSON reports and the ``repro flow`` command.
+- :mod:`~repro.analysis.flow.cli` — the ``repro flow`` command; its
+  reports come from darpalint's :mod:`repro.analysis.reporters`.
 """
 
 from repro.analysis.flow.baseline import (
@@ -33,12 +33,6 @@ from repro.analysis.flow.graph import (
     ProgramGraph,
     build_graph,
     module_name_for,
-)
-from repro.analysis.flow.reporters import (
-    FLOW_REPORT_VERSION,
-    render,
-    render_json,
-    render_text,
 )
 from repro.analysis.flow.specs import (
     CATEGORY_IDS,
@@ -60,7 +54,6 @@ __all__ = [
     "BaselineError",
     "CATEGORY_IDS",
     "FLOW_PARSE_ERROR_RULE",
-    "FLOW_REPORT_VERSION",
     "FlowFinding",
     "FlowSpecs",
     "FunctionInfo",
@@ -77,9 +70,6 @@ __all__ = [
     "load_flow_specs",
     "module_name_for",
     "partition",
-    "render",
-    "render_json",
-    "render_text",
     "specs_from_table",
     "write_baseline",
 ]

@@ -1,21 +1,20 @@
 """darpaflow command line (``repro flow`` / ``python -m repro.analysis.flow``).
 
-Exit codes follow the :mod:`repro.bench.regress` / darpalint
-conventions:
-
-- ``0`` — no unbaselined flows;
-- ``1`` — at least one new flow (traces on stdout);
-- ``2`` — usage error: missing path, malformed config or baseline
-  (reason on stderr; argparse itself also exits 2).
+Exit codes are :mod:`repro.exits`'s: ``0`` no unbaselined flows,
+``1`` at least one new flow (traces on stdout), ``2`` usage error —
+missing path, malformed config or baseline, unwritable output (reason
+on stderr).  ``--update-baseline`` treats only a *missing* baseline
+file as empty: a present but malformed one exits 2 and is left as it
+is, so its reviewed reasons are never overwritten.
 
 Like darpalint's CLI, this module stays importable in a bare stdlib
-environment (no numpy), which keeps the CI flow-gate job cheap.
+environment (no numpy), which keeps the CI lint job cheap.
 """
 
 from __future__ import annotations
 
 import argparse
-import sys
+import os
 from typing import Optional, Sequence
 
 from repro.analysis.config import ConfigError
@@ -26,9 +25,10 @@ from repro.analysis.flow.baseline import (
     partition,
     write_baseline,
 )
-from repro.analysis.flow.reporters import render
 from repro.analysis.flow.specs import FlowSpecs, load_flow_specs
 from repro.analysis.flow.taint import analyze_paths
+from repro.analysis.reporters import emit
+from repro.exits import fail
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -64,9 +64,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
 
     if args.update_baseline and not args.baseline:
-        print("flow: --update-baseline requires --baseline FILE",
-              file=sys.stderr)
-        return 2
+        return fail("flow", "--update-baseline requires --baseline FILE")
 
     if args.no_config:
         specs = FlowSpecs()
@@ -74,51 +72,33 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         try:
             specs = load_flow_specs(args.config)
         except ConfigError as exc:
-            print(f"flow: bad config: {exc}", file=sys.stderr)
-            return 2
+            return fail("flow", f"bad config: {exc}")
 
     try:
         findings = analyze_paths(list(args.paths), specs)
     except LintPathError as exc:
-        print(f"flow: {exc}", file=sys.stderr)
-        return 2
+        return fail("flow", str(exc))
 
     accepted = {}
-    if args.baseline and not args.update_baseline:
+    if args.baseline and (not args.update_baseline
+                          or os.path.exists(args.baseline)):
         try:
             accepted = load_baseline(args.baseline)
         except BaselineError as exc:
-            print(f"flow: {exc}", file=sys.stderr)
-            return 2
+            return fail("flow", str(exc))
 
     if args.update_baseline:
         try:
-            existing = load_baseline(args.baseline)
-        except BaselineError:
-            existing = {}
-        try:
-            count = write_baseline(args.baseline, findings, existing)
+            count = write_baseline(args.baseline, findings, accepted)
         except OSError as exc:
-            print(f"flow: cannot write {args.baseline}: {exc}",
-                  file=sys.stderr)
-            return 2
+            return fail("flow", f"cannot write {args.baseline}: {exc}")
         print(f"flow: baseline {args.baseline} now accepts {count} "
               f"flow(s)")
         return 0
 
     fresh, known = partition(findings, accepted)
-    report = render(fresh, args.format, baselined=len(known))
-    if args.output:
-        try:
-            with open(args.output, "w", encoding="utf-8") as fp:
-                fp.write(report)
-        except OSError as exc:
-            print(f"flow: cannot write {args.output}: {exc}",
-                  file=sys.stderr)
-            return 2
-    else:
-        sys.stdout.write(report)
-    return 1 if fresh else 0
+    return emit("flow", fresh, args.format, args.output, noun="flow",
+                clean="no unsanitized flows", baselined=len(known))
 
 
 __all__ = ["build_parser", "main"]

@@ -36,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Dict, Mapping, Optional, Tuple
 
-from repro.analysis.config import ConfigError, load_tool_table
+from repro.analysis.config import ConfigError, load_tool_table, string_tuple
 from repro.analysis.rules import (
     GLOBAL_RANDOM_FNS,
     NUMPY_GLOBAL_FNS,
@@ -191,30 +191,21 @@ def specs_from_table(table: Mapping[str, object],
                         f"{', '.join(sorted(CATEGORY_IDS))})")
                 sources[category] = tuple(sorted(
                     set(sources.get(category, ()))
-                    | set(_string_list(names, origin, f"sources.{category}"))))
+                    | set(string_tuple(names, origin, f"sources.{category}",
+                                       "darpaflow"))))
         elif key == "sanitizers":
-            for name in _string_list(value, origin, key):
+            for name in string_tuple(value, origin, key, "darpaflow"):
                 sanitizers[name] = None
         elif key == "sinks":
-            for name in _string_list(value, origin, key):
+            for name in string_tuple(value, origin, key, "darpaflow"):
                 sinks[name] = "configured sink"
         elif key == "exclude":
-            exclude = tuple(_string_list(value, origin, key))
+            exclude = string_tuple(value, origin, key, "darpaflow")
         else:
             raise ConfigError(
                 f"{origin}: unknown [tool.darpaflow] key {key!r}")
     return replace(FlowSpecs(), sources=sources, sanitizers=sanitizers,
                    sinks=sinks, exclude=exclude)
-
-
-def _string_list(value: object, origin: str, key: str) -> Tuple[str, ...]:
-    if isinstance(value, str):
-        return (value,)
-    if isinstance(value, (list, tuple)) and all(
-            isinstance(item, str) for item in value):
-        return tuple(value)
-    raise ConfigError(
-        f"{origin}: [tool.darpaflow] {key} must be a string list")
 
 
 def load_flow_specs(pyproject_path: Optional[str] = None) -> FlowSpecs:

@@ -16,9 +16,10 @@ simulated clock and explicit seeds*:
   ``random.Random()``/``default_rng()`` seeds from the OS.  All
   randomness must flow from explicit seeds.
 - **DL003 unordered-iteration** — iterating a ``set``, ``dict.keys()``
-  or ``os.listdir`` result inside merge/export/serialization functions
-  without ``sorted(...)`` makes output depend on hash/filesystem
-  order: exactly the bug class the shard-merge paths are exposed to.
+  or set-algebra result inside merge/export/serialization functions
+  without ``sorted(...)`` makes output depend on hash order: exactly
+  the bug class the shard-merge paths are exposed to.  Directory
+  listings are DL008's, in every scope.
 - **DL004 float-accumulation-in-merge** — ``+=`` on float state inside
   ``merge``/``snapshot`` functions is order-sensitive (float addition
   is not associative); the telemetry merge algebra is all-integer (or
@@ -180,11 +181,9 @@ class UnseededRngRule(Rule):
 # DL003 — unordered iteration in merge/export paths
 # ---------------------------------------------------------------------------
 
-#: Calls producing unordered (hash/filesystem-ordered) iterables.
-UNORDERED_PRODUCERS = frozenset({
-    "set", "frozenset", "os.listdir", "os.scandir", "glob.glob",
-    "glob.iglob",
-})
+#: Calls producing hash-ordered iterables.  Filesystem listings are
+#: left to DL008, which reports every unsorted one in every scope.
+UNORDERED_PRODUCERS = frozenset({"set", "frozenset"})
 
 #: Callees that erase iteration order, making the operand's own order
 #: irrelevant (``sorted(x)`` is the canonical fix).

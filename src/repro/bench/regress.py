@@ -36,8 +36,8 @@ the same attribution as JSON — CI uploads it as the failure artifact.
 ``--explain`` never changes the exit code: attribution is a
 diagnostic, the gate is the gate.
 
-Exit codes: 0 = within tolerance, 1 = regression detected,
-2 = usage error (missing/unreadable file, malformed rule),
+Exit codes (:mod:`repro.exits`): 0 = within tolerance, 1 = regression
+detected, 2 = usage error (missing/unreadable file, malformed rule),
 3 = provenance manifest mismatch (payloads are not comparable).
 """
 
@@ -51,6 +51,7 @@ from fnmatch import fnmatchcase
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.bench.provenance import MANIFEST_KEY, manifest_mismatches
+from repro.exits import fail
 from repro.profiling import PROFILE_KEY, Profile, diff_profiles, report_lines
 
 #: Tolerance classes for a leaf value: ``rel`` is a fraction of the
@@ -260,15 +261,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         baseline = _load(args.baseline)
     except (OSError, json.JSONDecodeError) as exc:
-        print(f"regress: cannot read baseline {args.baseline}: {exc}",
-              file=sys.stderr)
-        return 2
+        return fail("regress", f"cannot read baseline {args.baseline}: "
+                               f"{exc}")
     try:
         fresh = _load(args.fresh)
     except (OSError, json.JSONDecodeError) as exc:
-        print(f"regress: cannot read fresh payload {args.fresh}: {exc}",
-              file=sys.stderr)
-        return 2
+        return fail("regress", f"cannot read fresh payload {args.fresh}: "
+                               f"{exc}")
     # Profile blocks ride along for --explain but are never part of the
     # value diff (same contract as the manifest): the gate judges the
     # measured numbers, the profile explains them.
@@ -280,12 +279,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     fresh_manifest = fresh.pop(MANIFEST_KEY, None)
     mismatches = manifest_mismatches(baseline_manifest, fresh_manifest)
     if mismatches and not args.ignore_manifest:
-        print(f"regress: provenance mismatch between {args.baseline} and "
-              f"{args.fresh}; refusing to compare:", file=sys.stderr)
+        reason = (f"provenance mismatch between {args.baseline} and "
+                  f"{args.fresh}; refusing to compare:")
         for mismatch in mismatches:
-            print(f"  {mismatch}", file=sys.stderr)
-        print("  (pass --ignore-manifest to diff anyway)", file=sys.stderr)
-        return 3
+            reason += f"\n  {mismatch}"
+        return fail("regress",
+                    reason + "\n  (pass --ignore-manifest to diff anyway)", 3)
     rules = tuple(args.rule) + DEFAULT_RULES
     violations = compare(baseline, fresh, rules)
     if violations:

@@ -23,19 +23,26 @@ Commands:
   analysis (DF001-7, full source→sink hop traces, baseline gating)
 - ``survey``    — user-study findings (Section III-B)
 
-Error-path exit codes follow ``repro regress``: commands that read or
-write artifact files exit 2 with the reason on stderr when a path is
-missing or unreadable (``trace``, ``metrics``, ``dash``); argparse
-exits 2 on usage errors, as usual.
+``lint``, ``flow`` and ``regress`` hand the rest of the command line
+unchanged to their own modules' CLIs (:mod:`repro.analysis.cli`,
+:mod:`repro.analysis.flow.cli`, :mod:`repro.bench.regress`), whose
+parsers are the only definition of their options.
+
+Exit codes are documented once, in :mod:`repro.exits`; every command
+reports a failure through :func:`repro.exits.fail` (``prog: reason``
+on stderr).
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
 import sys
 from typing import List, Optional
 
 import numpy as np
+
+from repro.exits import fail
 
 
 def _cmd_dataset(args: argparse.Namespace) -> int:
@@ -188,8 +195,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         report = daemon.run(resume=args.resume, drain_at_ms=args.drain_at,
                             max_batches=args.max_batches)
     except JournalError as exc:
-        print(f"serve: {exc}", file=sys.stderr)
-        return 1
+        return fail("serve", str(exc), 1)
     c = report.counters
     print(f"offered {c['offered']}  admitted {c['admitted']}  "
           f"completed {c['completed']}")
@@ -229,18 +235,14 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         try:
             detector = _load_model(args.model)
         except OSError as exc:
-            print(f"trace: cannot read model {args.model}: {exc}",
-                  file=sys.stderr)
-            return 2
+            return fail("trace", f"cannot read model {args.model}: {exc}")
     # Open the span dump before replaying anything: an unwritable
     # artifact path must fail fast (exit 2, as `repro regress` does for
     # unreadable inputs), not after a full traced session.
     try:
         out_fp = open(args.output, "w")
     except OSError as exc:
-        print(f"trace: cannot write trace {args.output}: {exc}",
-              file=sys.stderr)
-        return 2
+        return fail("trace", f"cannot write trace {args.output}: {exc}")
     sessions = build_runtime_fleet(n_apps=max(1, args.session + 1),
                                    seed=args.seed)
     session = sessions[args.session]
@@ -326,9 +328,8 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
         try:
             out_fp = open(args.output, "w")
         except OSError as exc:
-            print(f"metrics: cannot write exposition {args.output}: {exc}",
-                  file=sys.stderr)
-            return 2
+            return fail("metrics",
+                        f"cannot write exposition {args.output}: {exc}")
     results, _, fleet = _run_telemetry_fleet(args)
     lines = fleet.prometheus_lines()
     merged = merge_registry_snapshots([r.metrics for r in results])
@@ -392,8 +393,7 @@ def _cmd_top(args: argparse.Namespace) -> int:
                     spans[session], session=session))
                 for session in sorted(spans))
         except ValueError as exc:
-            print(f"top: cannot read trace: {exc}", file=sys.stderr)
-            return 1
+            return fail("top", f"cannot read trace: {exc}", 1)
         source = args.trace
     else:
         _, _, fleet = _run_telemetry_fleet(args)
@@ -432,8 +432,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     import json
 
     if args.suite != "kernels":  # argparse choices already guard this
-        print(f"bench: unknown suite {args.suite!r}", file=sys.stderr)
-        return 2
+        return fail("bench", f"unknown suite {args.suite!r}")
     from repro.bench.kernels import run_kernel_bench
 
     try:
@@ -441,8 +440,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             batch_sizes=tuple(args.batch), rounds=args.rounds,
             seed=args.seed, out_path=args.out)
     except ValueError as exc:
-        print(f"bench: {exc}", file=sys.stderr)
-        return 2
+        return fail("bench", str(exc))
     print(f"{'batch':>6} {'forward ms':>12}")
     for n, ms in payload["forward_ms"].items():
         print(f"{n:>6} {ms:>12.3f}")
@@ -457,62 +455,11 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_regress(args: argparse.Namespace) -> int:
-    from repro.bench.regress import main as regress_main
-
-    argv = ["--baseline", args.baseline, "--fresh", args.fresh]
-    for rule in args.rule or []:
-        argv += ["--rule", rule]
-    if args.ignore_manifest:
-        argv.append("--ignore-manifest")
-    if args.explain:
-        argv.append("--explain")
-    if args.explain_out is not None:
-        argv += ["--explain-out", args.explain_out]
-    return regress_main(argv)
-
-
 def _cmd_profile(args: argparse.Namespace) -> int:
     from repro.profiling.cli import run_profile
 
     return run_profile(source=args.source, diff=args.diff, fold=args.fold,
                        top=args.top, json_out=args.json)
-
-
-def _cmd_lint(args: argparse.Namespace) -> int:
-    from repro.analysis.cli import main as lint_main
-
-    argv: List[str] = list(args.paths)
-    argv += ["--format", args.format]
-    if args.rules:
-        argv += ["--rules", args.rules]
-    if args.list_rules:
-        argv.append("--list-rules")
-    if args.config:
-        argv += ["--config", args.config]
-    if args.no_config:
-        argv.append("--no-config")
-    if args.output:
-        argv += ["--output", args.output]
-    return lint_main(argv)
-
-
-def _cmd_flow(args: argparse.Namespace) -> int:
-    from repro.analysis.flow.cli import main as flow_main
-
-    argv: List[str] = list(args.paths)
-    argv += ["--format", args.format]
-    if args.config:
-        argv += ["--config", args.config]
-    if args.no_config:
-        argv.append("--no-config")
-    if args.baseline:
-        argv += ["--baseline", args.baseline]
-    if args.update_baseline:
-        argv.append("--update-baseline")
-    if args.output:
-        argv += ["--output", args.output]
-    return flow_main(argv)
 
 
 def _cmd_survey(args: argparse.Namespace) -> int:
@@ -655,20 +602,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--out", default=None,
                          help="write the manifest-stamped payload here")
 
-    p_regress = sub.add_parser(
-        "regress", help="gate fresh benchmark output against a baseline")
-    p_regress.add_argument("--baseline", required=True)
-    p_regress.add_argument("--fresh", required=True)
-    p_regress.add_argument("--rule", action="append", default=[],
-                           metavar="PATTERN=rel:F|abs:F")
-    p_regress.add_argument("--ignore-manifest", action="store_true",
-                           help="diff values even on provenance mismatch")
-    p_regress.add_argument("--explain", action="store_true",
-                           help="on failure, print the ranked per-frame "
-                                "attribution from the embedded profiles")
-    p_regress.add_argument("--explain-out", default=None, metavar="FILE",
-                           help="write the failure attribution as JSON "
-                                "(implies --explain)")
+    # Forwarded commands: their own CLIs define every option.
+    sub.add_parser("regress", add_help=False,
+                   help="gate fresh benchmark output against a baseline")
 
     p_profile = sub.add_parser(
         "profile", help="fold span dumps into a flame profile, or diff two")
@@ -687,41 +623,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_profile.add_argument("--json", default=None, metavar="FILE",
                            help="also write the canonical profile.json")
 
-    p_lint = sub.add_parser(
-        "lint", help="darpalint: determinism & sim-correctness rules")
-    p_lint.add_argument("paths", nargs="*", default=["src"],
-                        help="files or directories to lint (default: src)")
-    p_lint.add_argument("--format", choices=("text", "json"),
-                        default="text")
-    p_lint.add_argument("--rules", default=None, metavar="DL001,DL003",
-                        help="comma-separated rule ids (default: all)")
-    p_lint.add_argument("--list-rules", action="store_true",
-                        help="print the rule registry and exit")
-    p_lint.add_argument("--config", default=None, metavar="PYPROJECT",
-                        help="pyproject.toml with [tool.darpalint]")
-    p_lint.add_argument("--no-config", action="store_true",
-                        help="ignore [tool.darpalint] entirely")
-    p_lint.add_argument("--output", default=None, metavar="FILE",
-                        help="write the report to a file")
-
-    p_flow = sub.add_parser(
-        "flow", help="darpaflow: interprocedural nondeterminism taint "
-                     "analysis (DF001-DF007)")
-    p_flow.add_argument("paths", nargs="*", default=["src"],
-                        help="files or directories to analyze "
-                             "(default: src)")
-    p_flow.add_argument("--format", choices=("text", "json"),
-                        default="text")
-    p_flow.add_argument("--config", default=None, metavar="PYPROJECT",
-                        help="pyproject.toml with [tool.darpaflow]")
-    p_flow.add_argument("--no-config", action="store_true",
-                        help="ignore [tool.darpaflow] entirely")
-    p_flow.add_argument("--baseline", default=None, metavar="FILE",
-                        help="flow-baseline.json of accepted flows")
-    p_flow.add_argument("--update-baseline", action="store_true",
-                        help="rewrite --baseline accepting current flows")
-    p_flow.add_argument("--output", default=None, metavar="FILE",
-                        help="write the report to a file")
+    sub.add_parser("lint", add_help=False,
+                   help="darpalint: determinism & sim-correctness rules")
+    sub.add_parser("flow", add_help=False,
+                   help="darpaflow: interprocedural nondeterminism taint "
+                        "analysis (DF001-DF007)")
 
     sub.add_parser("survey", help="user-study findings")
     return parser
@@ -739,16 +645,31 @@ _COMMANDS = {
     "top": _cmd_top,
     "dash": _cmd_dash,
     "bench": _cmd_bench,
-    "regress": _cmd_regress,
     "profile": _cmd_profile,
-    "lint": _cmd_lint,
-    "flow": _cmd_flow,
     "survey": _cmd_survey,
 }
 
 
+#: Commands whose command line belongs to another module's ``main``,
+#: imported only when the command runs.
+_FORWARDED = {
+    "lint": "repro.analysis.cli",
+    "flow": "repro.analysis.flow.cli",
+    "regress": "repro.bench.regress",
+}
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser()
+    args, rest = parser.parse_known_args(argv)
+    if args.command in _FORWARDED:
+        # Only ``--seed N`` may precede the command, and N is an int, so
+        # the first occurrence of the command's name is the command.
+        tail = argv[argv.index(args.command) + 1:]
+        return importlib.import_module(_FORWARDED[args.command]).main(tail)
+    if rest:
+        parser.error(f"unrecognized arguments: {' '.join(rest)}")
     return _COMMANDS[args.command](args)
 
 

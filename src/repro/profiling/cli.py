@@ -9,7 +9,7 @@
 
 ``RUN``/``BASE``/``FRESH`` accept a run directory, a ``profile.json``,
 a ``BENCH_*.json`` with an embedded profile block, or a span JSONL
-dump.  Exit codes mirror ``repro regress``: 0 = ok/identical,
+dump.  Exit codes are :mod:`repro.exits`'s: 0 = ok/identical,
 1 = profiles differ (``--diff`` only), 2 = usage or unreadable source.
 Completeness warnings (dropped/orphan spans) go to stderr so ``--fold``
 output stays byte-clean for tooling.
@@ -20,6 +20,7 @@ from __future__ import annotations
 import sys
 from typing import Optional, Sequence
 
+from repro.exits import fail
 from repro.profiling.diff import diff_profiles, report_lines
 from repro.profiling.io import ProfileSourceError, load_profile
 from repro.profiling.profile import Profile
@@ -41,8 +42,7 @@ def _run_diff(base_src: str, fresh_src: str, top: int) -> int:
         base = load_profile(base_src)
         fresh = load_profile(fresh_src)
     except ProfileSourceError as exc:
-        print(f"profile: {exc}", file=sys.stderr)
-        return 2
+        return fail("profile", str(exc))
     _warn_completeness(base_src, base)
     _warn_completeness(fresh_src, fresh)
     diff = diff_profiles(base, fresh)
@@ -58,23 +58,18 @@ def run_profile(source: Optional[str] = None,
     if diff is not None:
         return _run_diff(diff[0], diff[1], top)
     if source is None:
-        print("profile: a SOURCE (or --diff BASE FRESH) is required",
-              file=sys.stderr)
-        return 2
+        return fail("profile", "a SOURCE (or --diff BASE FRESH) is required")
     try:
         profile = load_profile(source)
     except ProfileSourceError as exc:
-        print(f"profile: {exc}", file=sys.stderr)
-        return 2
+        return fail("profile", str(exc))
     _warn_completeness(source, profile)
     if json_out is not None:
         try:
             with open(json_out, "w") as fp:
                 fp.write(profile.to_json())
         except OSError as exc:
-            print(f"profile: cannot write {json_out}: {exc}",
-                  file=sys.stderr)
-            return 2
+            return fail("profile", f"cannot write {json_out}: {exc}")
     if fold:
         sys.stdout.write(profile.folded_text())
         return 0

@@ -77,6 +77,21 @@ class TestBaselineFlow:
         assert main([CHAIN, "--baseline", str(bad)]) == 2
         assert "baseline" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("content", ['{"version": 1, "acce', "{}"],
+                             ids=["torn", "wrong-shape"])
+    def test_update_baseline_leaves_a_malformed_baseline_alone(
+            self, tmp_path, capsys, content):
+        # Only a missing baseline counts as empty: rewriting a present
+        # but unreadable one would drop every reviewed reason in it.
+        bad = tmp_path / "flow-baseline.json"
+        bad.write_text(content)
+        assert main([CHAIN, "--baseline", str(bad),
+                     "--update-baseline"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"flow: baseline {bad}")
+        assert bad.read_text() == content
+
     def test_committed_repo_baseline_gates_src_clean(self, capsys):
         assert main(["src", "--baseline", "flow-baseline.json"]) == 0
         capsys.readouterr()
@@ -122,3 +137,10 @@ class TestReproCliDelegation:
         capsys.readouterr()
         assert repro_main(["flow", CHAIN, "--baseline", baseline]) == 0
         assert "baselined flow(s) not shown" in capsys.readouterr().out
+
+    def test_repro_flow_help_is_the_module_parsers(self, capsys):
+        from repro.cli import main as repro_main
+        with pytest.raises(SystemExit) as excinfo:
+            repro_main(["flow", "--help"])
+        assert excinfo.value.code == 0
+        assert capsys.readouterr().out == build_parser().format_help()

@@ -4,12 +4,8 @@ import os
 import random
 import textwrap
 
-from repro.analysis.flow import (
-    FlowSpecs,
-    analyze_paths,
-    render_json,
-    render_text,
-)
+from repro.analysis import render_json, render_text
+from repro.analysis.flow import FlowSpecs, analyze_paths
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 CHAIN = os.path.join(FIXTURES, "chain")
@@ -191,7 +187,8 @@ class TestDeterminism:
         for _ in range(6):
             rng.shuffle(trees)
             findings = analyze_paths(list(trees), FlowSpecs())
-            text, payload = render_text(findings), render_json(findings)
+            text = render_text(findings, "flow", baselined=0)
+            payload = render_json(findings, baselined=0)
             if baseline_text is None:
                 baseline_text, baseline_json = text, payload
             assert text == baseline_text

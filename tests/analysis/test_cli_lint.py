@@ -131,3 +131,10 @@ class TestReproCliDelegation:
         from repro.cli import main as repro_main
         assert repro_main(["lint", str(tmp_path / "gone")]) == 2
         assert "no such file" in capsys.readouterr().err
+
+    def test_repro_lint_help_is_the_module_parsers(self, capsys):
+        from repro.cli import main as repro_main
+        with pytest.raises(SystemExit) as excinfo:
+            repro_main(["lint", "--help"])
+        assert excinfo.value.code == 0
+        assert capsys.readouterr().out == build_parser().format_help()

@@ -56,6 +56,27 @@ class TestDirtyFixtures:
         assert findings[0].path.endswith(filename)
 
 
+class TestListingsAreReportedOnce:
+    """A listing in a merge scope is DL008's alone; DL003 keeps sets."""
+
+    @pytest.mark.parametrize("call", ["os.listdir(d)", "os.scandir(d)",
+                                      "glob.glob(d)", "glob.iglob(d)"])
+    def test_unsorted_listing_in_merge_scope_is_one_dl008(self, call):
+        source = (f"import glob\nimport os\n\n\ndef merge_parts(d):\n"
+                  f"    out = []\n"
+                  f"    for n in {call}:\n"
+                  f"        out.append(n)\n"
+                  f"    return out\n")
+        findings = engine().lint_source(source, path="merge.py")
+        assert [f.rule for f in findings] == ["DL008"]
+
+    def test_set_of_a_listing_in_merge_scope_is_still_dl003(self):
+        source = ("import os\n\n\ndef merge_parts(d):\n"
+                  "    return [x for x in set(os.listdir(d))]\n")
+        findings = engine().lint_source(source, path="merge.py")
+        assert [f.rule for f in findings] == ["DL003"]
+
+
 class TestCleanFixture:
     def test_near_miss_patterns_stay_silent(self):
         findings = engine().lint_paths([os.path.join(FIXTURES, "clean")])

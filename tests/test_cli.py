@@ -23,10 +23,13 @@ class TestParser:
             build_parser().parse_args(["definitely-not-a-command"])
         assert excinfo.value.code == 2
 
-    def test_regress_requires_both_files(self):
+    def test_regress_requires_both_files(self, capsys):
+        # Through main(): the top-level parser declares no regress option,
+        # so only the forwarded module parser can report the missing one.
         with pytest.raises(SystemExit) as excinfo:
-            build_parser().parse_args(["regress", "--baseline", "b.json"])
+            main(["regress", "--baseline", "b.json"])
         assert excinfo.value.code == 2
+        assert "required: --fresh" in capsys.readouterr().err
 
     def test_dataset_command(self):
         args = build_parser().parse_args(["dataset"])
@@ -164,6 +167,19 @@ class TestTelemetryCommands:
         assert main(["regress", "--baseline", str(payload),
                      "--fresh", str(drifted),
                      "--rule", "alerts_total=abs:5"]) == 0
+
+    def test_regress_accepts_every_module_option(self, tmp_path, capsys):
+        payload = tmp_path / "b.json"
+        payload.write_text('{"alerts_total": 9}')
+        assert main(["regress", "--baseline", str(payload),
+                     "--fresh", str(payload), "--quiet",
+                     "--explain-top", "5"]) == 0
+        assert "within tolerance" in capsys.readouterr().out
+
+    def test_non_forwarded_commands_still_reject_unknown_options(self):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["dataset", "--quiet"])
+        assert excinfo.value.code == 2
 
 
 class TestDashCommand:
