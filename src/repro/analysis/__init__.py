@@ -3,7 +3,10 @@
 Zero-dependency (stdlib ``ast``) static analysis enforcing the
 invariant every serving-path layer is built on: behaviour is a pure
 function of the simulated clock and explicit seeds, so sequential and
-sharded runs are byte-identical.
+sharded runs are byte-identical.  The only exemptions are inline, on
+the line they excuse: ``# darpalint: disable=RULE`` and
+``# darpaflow: sanitized=REASON``; neither gate reads a config file or
+a baseline.
 
 - :mod:`repro.analysis.engine` — AST walker with parent/scope links,
   :class:`Finding` records, inline suppressions, stable ordering;
@@ -11,8 +14,6 @@ sharded runs are byte-identical.
   RNGs, unordered merge iteration, float accumulation, swallowed
   exceptions, mutable defaults, undocumented matmul reductions,
   unsorted listings);
-- :mod:`repro.analysis.config` — ``[tool.darpalint]`` allowlists and
-  excludes from ``pyproject.toml``;
 - :mod:`repro.analysis.flow` — darpaflow, the interprocedural taint
   analysis (DF001–DF007) that follows nondeterministic *values* into
   byte-exact sinks;
@@ -23,13 +24,6 @@ sharded runs are byte-identical.
   :mod:`repro.exits`).
 """
 
-from repro.analysis.config import (
-    ConfigError,
-    LintConfig,
-    config_from_table,
-    load_config,
-    rule_allowed,
-)
 from repro.analysis.engine import (
     Finding,
     LintEngine,
@@ -49,22 +43,17 @@ from repro.analysis.rules import (
 
 __all__ = [
     "ALL_RULES",
-    "ConfigError",
     "Finding",
-    "LintConfig",
     "LintEngine",
     "LintPathError",
     "PARSE_ERROR_RULE",
     "RULES_BY_ID",
     "Rule",
-    "config_from_table",
     "default_rules",
     "iter_python_files",
     "lint_paths",
-    "load_config",
     "render",
     "render_json",
     "render_text",
-    "rule_allowed",
     "rules_for_ids",
 ]

@@ -2,8 +2,10 @@
 
 Exit codes are :mod:`repro.exits`'s: ``0`` every linted file is
 clean, ``1`` at least one finding (listed on stdout), ``2`` usage
-error — missing path, unknown rule id, malformed config, unwritable
-``--output`` (reason on stderr).
+error — missing path, unknown rule id, unwritable ``--output``
+(reason on stderr).  The only exemption is an inline
+``# darpalint: disable=RULE`` comment; nothing is read from
+``pyproject.toml``.
 
 The module deliberately avoids importing the rest of :mod:`repro`
 (and its numpy dependency): ``python -m repro.analysis src/`` works in
@@ -14,9 +16,8 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
-from repro.analysis.config import ConfigError, LintConfig, load_config
 from repro.analysis.engine import LintEngine, LintPathError
 from repro.analysis.reporters import emit
 from repro.analysis.rules import default_rules, rules_for_ids
@@ -37,50 +38,24 @@ def build_parser() -> argparse.ArgumentParser:
                         help="comma-separated rule ids to run "
                              "(default: all)")
     parser.add_argument("--list-rules", action="store_true",
-                        help="print the rule registry (id, summary, "
-                             "allowlisted paths from pyproject) and exit")
-    parser.add_argument("--config", default=None, metavar="PYPROJECT",
-                        help="pyproject.toml to read [tool.darpalint] "
-                             "from (default: nearest upward from cwd)")
-    parser.add_argument("--no-config", action="store_true",
-                        help="ignore [tool.darpalint] entirely "
-                             "(no allowlists, no excludes)")
+                        help="print the rule registry (id, name, "
+                             "summary) and exit")
     parser.add_argument("--output", default=None, metavar="FILE",
                         help="write the report here instead of stdout")
     return parser
 
 
-def render_rule_list(config: LintConfig) -> str:
-    """One deterministic line per registered rule.
-
-    Shows each rule's id, name and summary, plus — when the loaded
-    ``[tool.darpalint.allow]`` table allowlists paths for it — the
-    globs the rule is intentionally off for, so config debugging
-    doesn't require reading ``rules.py``.
-    """
-    lines = []
-    for rule in default_rules():
-        allowed = config.allow.get(rule.id, ())
-        state = (f"allowlisted for: {', '.join(allowed)}" if allowed
-                 else "enabled everywhere")
-        lines.append(f"{rule.id}  {rule.name:<32} {rule.summary}")
-        lines.append(f"       {state}")
-    return "\n".join(lines) + "\n"
+def render_rule_list() -> str:
+    """One deterministic line per registered rule: id, name, summary."""
+    return "".join(f"{rule.id}  {rule.name:<32} {rule.summary}\n"
+                   for rule in default_rules())
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
 
-    if args.no_config:
-        config = LintConfig()
-    else:
-        try:
-            config = load_config(args.config)
-        except ConfigError as exc:
-            return fail("lint", f"bad config: {exc}")
-
     if args.list_rules:
-        sys.stdout.write(render_rule_list(config))
+        sys.stdout.write(render_rule_list())
         return 0
 
     if args.rules is None:
@@ -93,7 +68,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return fail("lint", f"unknown rule id {exc.args[0]!r} "
                                 f"(known: {known})")
 
-    engine = LintEngine(rules=rules, config=config)
+    engine = LintEngine(rules=rules)
     try:
         findings = engine.lint_paths(list(args.paths))
     except LintPathError as exc:

@@ -20,9 +20,8 @@ Design notes:
   byte-identical for any input path order — the same invariant the
   linted code is held to.
 - ``# darpalint: disable=DL001[,DL002|all]`` on a finding's line
-  suppresses it; per-rule path allowlists come from
-  ``[tool.darpalint]`` in ``pyproject.toml`` (see
-  :mod:`repro.analysis.config`).
+  suppresses it.  That marker is the only exemption, so every
+  justification sits next to the code it excuses.
 - A file that fails to parse yields a single :data:`PARSE_ERROR_RULE`
   finding instead of crashing the run.
 """
@@ -33,9 +32,7 @@ import ast
 import os
 import re
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
-
-from repro.analysis.config import LintConfig, rule_allowed
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set
 
 #: Pseudo-rule reported for files the parser rejects.
 PARSE_ERROR_RULE = "DL000"
@@ -95,7 +92,6 @@ class FileContext:
     aliases: Dict[str, str] = field(default_factory=dict)
     stack: List[ast.AST] = field(default_factory=list)
     scope: List[str] = field(default_factory=list)
-    config: LintConfig = field(default_factory=LintConfig)
 
     def resolve(self, node: ast.AST) -> Optional[str]:
         """Dotted name of an expression, import aliases expanded.
@@ -211,15 +207,13 @@ class _Walker:
 
 
 class LintEngine:
-    """Runs a rule set over sources, applying suppressions/allowlists."""
+    """Runs a rule set over sources, applying inline suppressions."""
 
-    def __init__(self, rules: Optional[Sequence] = None,
-                 config: Optional[LintConfig] = None):
+    def __init__(self, rules: Optional[Sequence] = None):
         if rules is None:
             from repro.analysis.rules import default_rules
             rules = default_rules()
         self.rules = tuple(rules)
-        self.config = config or LintConfig()
 
     def lint_source(self, source: str, path: str = "<string>"
                     ) -> List[Finding]:
@@ -235,8 +229,7 @@ class LintEngine:
                               hint="fix the syntax error to lint this file")
             return self._filter([finding], source_lines)
         ctx = FileContext(path=path, source_lines=source_lines,
-                          aliases=_collect_aliases(tree),
-                          config=self.config)
+                          aliases=_collect_aliases(tree))
         walker = _Walker(self.rules, ctx)
         walker.walk(tree)
         return self._filter(walker.findings, source_lines)
@@ -259,8 +252,6 @@ class LintEngine:
         """
         findings: List[Finding] = []
         for path in iter_python_files(paths):
-            if self.config.excluded(path):
-                continue
             findings.extend(self.lint_file(path))
         return sorted(set(findings))
 
@@ -274,17 +265,14 @@ class LintEngine:
             disabled = suppressions.get(finding.line, ())
             if finding.rule in disabled or "ALL" in disabled:
                 continue
-            if rule_allowed(self.config, finding.rule, finding.path):
-                continue
             out.append(finding)
         return sorted(set(out))
 
 
 def lint_paths(paths: Sequence[str],
-               rules: Optional[Sequence] = None,
-               config: Optional[LintConfig] = None) -> List[Finding]:
-    """Convenience one-shot: lint ``paths`` with ``rules``/``config``."""
-    return LintEngine(rules=rules, config=config).lint_paths(paths)
+               rules: Optional[Sequence] = None) -> List[Finding]:
+    """Convenience one-shot: lint ``paths`` with ``rules``."""
+    return LintEngine(rules=rules).lint_paths(paths)
 
 
 __all__ = [

@@ -8,25 +8,17 @@ source→sink flow here, reported with every hop as ``path:line``.
 
 Layout:
 
-- :mod:`~repro.analysis.flow.specs` — sources / sanitizers / sinks
-  tables and the ``[tool.darpaflow]`` loader;
+- :mod:`~repro.analysis.flow.specs` — the sources / sanitizers / sinks
+  tables (constants; the ``# darpaflow: sanitized=REASON`` marker is
+  the only way to accept a flow);
 - :mod:`~repro.analysis.flow.graph` — module graph + function
   registry + callee resolution;
 - :mod:`~repro.analysis.flow.taint` — the summary-based worklist
   engine and :class:`FlowFinding`;
-- :mod:`~repro.analysis.flow.baseline` — line-insensitive accepted
-  flows (``flow-baseline.json``);
 - :mod:`~repro.analysis.flow.cli` — the ``repro flow`` command; its
   reports come from darpalint's :mod:`repro.analysis.reporters`.
 """
 
-from repro.analysis.flow.baseline import (
-    BaselineError,
-    fingerprint,
-    load_baseline,
-    partition,
-    write_baseline,
-)
 from repro.analysis.flow.graph import (
     FunctionInfo,
     ModuleInfo,
@@ -38,8 +30,6 @@ from repro.analysis.flow.specs import (
     CATEGORY_IDS,
     FlowSpecs,
     ORDER_CATEGORIES,
-    load_flow_specs,
-    specs_from_table,
 )
 from repro.analysis.flow.taint import (
     FLOW_PARSE_ERROR_RULE,
@@ -51,7 +41,6 @@ from repro.analysis.flow.taint import (
 )
 
 __all__ = [
-    "BaselineError",
     "CATEGORY_IDS",
     "FLOW_PARSE_ERROR_RULE",
     "FlowFinding",
@@ -65,11 +54,5 @@ __all__ = [
     "analyze_graph",
     "analyze_paths",
     "build_graph",
-    "fingerprint",
-    "load_baseline",
-    "load_flow_specs",
     "module_name_for",
-    "partition",
-    "specs_from_table",
-    "write_baseline",
 ]

@@ -133,8 +133,7 @@ def _collect_functions(info: ModuleInfo,
     visit(info.tree, None)
 
 
-def build_graph(paths: Sequence[str],
-                exclude: Sequence[str] = ()) -> ProgramGraph:
+def build_graph(paths: Sequence[str]) -> ProgramGraph:
     """Parse every python file under ``paths`` into a program graph.
 
     File discovery reuses darpalint's sorted, deduplicated walk, so
@@ -142,13 +141,8 @@ def build_graph(paths: Sequence[str],
     input path order.  Unparseable files land in ``parse_errors``
     instead of aborting the run.
     """
-    from repro.analysis.config import LintConfig
-
-    config = LintConfig(exclude=tuple(exclude))
     graph = ProgramGraph()
     for path in iter_python_files(paths):
-        if config.excluded(path):
-            continue
         shown = display_path(path)
         try:
             with open(path, encoding="utf-8") as fp:

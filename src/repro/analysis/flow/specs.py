@@ -10,8 +10,7 @@ The taint analysis is parameterized by three frozen tables:
   - *value* taints (``wall-clock``, ``unseeded-rng``, ``env``,
     ``identity``, ``scheduling``) — the bytes themselves differ run to
     run; no reordering operation can clean them, only an explicit
-    ``# darpaflow: sanitized=REASON`` marker (or a configured
-    sanitizer) may;
+    ``# darpaflow: sanitized=REASON`` marker may;
   - *order* taints (``listing``, ``dict-set-order``) — the values are
     stable but their enumeration order is not; ``sorted()``,
     ``math.fsum()`` and friends genuinely erase them.
@@ -27,16 +26,17 @@ The taint analysis is parameterized by three frozen tables:
   a bare trailing attribute (``canonical_bytes``) so method sinks on
   untyped receivers are still caught.
 
-All three tables extend through ``[tool.darpaflow]`` in
-``pyproject.toml`` (see :func:`load_flow_specs`).
+The tables are constants: :class:`FlowSpecs` is the one policy the
+engine runs with (tests pass in variants), and the reviewed
+``# darpaflow: sanitized=REASON`` marker is the only way to accept a
+flow.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Dict, Mapping, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Mapping, Optional, Tuple
 
-from repro.analysis.config import ConfigError, load_tool_table, string_tuple
 from repro.analysis.rules import (
     GLOBAL_RANDOM_FNS,
     NUMPY_GLOBAL_FNS,
@@ -130,7 +130,6 @@ class FlowSpecs:
         default_factory=lambda: dict(DEFAULT_SANITIZERS))
     sinks: Mapping[str, str] = field(
         default_factory=lambda: dict(DEFAULT_SINKS))
-    exclude: Tuple[str, ...] = ()
 
     def source_category(self, dotted: str) -> Optional[str]:
         """Category of a resolved callee, or None when not a source."""
@@ -159,62 +158,6 @@ class FlowSpecs:
         return None
 
 
-def specs_from_table(table: Mapping[str, object],
-                     origin: str = "<config>") -> FlowSpecs:
-    """Extend the defaults with a decoded ``[tool.darpaflow]`` table.
-
-    Schema (all keys optional)::
-
-        [tool.darpaflow]
-        exclude = ["src/generated/*"]       # paths never analyzed
-        sinks = ["mylib.emit_artifact"]     # extra sink names
-        sanitizers = ["mylib.canon"]        # extra sanitizers (erase all)
-
-        [tool.darpaflow.sources]
-        wall-clock = ["mylib.clock.read"]   # extra sources per category
-    """
-    specs = FlowSpecs()
-    sources = {cat: tuple(names) for cat, names in specs.sources.items()}
-    sanitizers = dict(specs.sanitizers)
-    sinks = dict(specs.sinks)
-    exclude: Tuple[str, ...] = ()
-    for key, value in table.items():
-        if key == "sources":
-            if not isinstance(value, Mapping):
-                raise ConfigError(
-                    f"{origin}: [tool.darpaflow.sources] must be a table")
-            for category, names in value.items():
-                if category not in CATEGORY_IDS:
-                    raise ConfigError(
-                        f"{origin}: unknown darpaflow source category "
-                        f"{category!r} (known: "
-                        f"{', '.join(sorted(CATEGORY_IDS))})")
-                sources[category] = tuple(sorted(
-                    set(sources.get(category, ()))
-                    | set(string_tuple(names, origin, f"sources.{category}",
-                                       "darpaflow"))))
-        elif key == "sanitizers":
-            for name in string_tuple(value, origin, key, "darpaflow"):
-                sanitizers[name] = None
-        elif key == "sinks":
-            for name in string_tuple(value, origin, key, "darpaflow"):
-                sinks[name] = "configured sink"
-        elif key == "exclude":
-            exclude = string_tuple(value, origin, key, "darpaflow")
-        else:
-            raise ConfigError(
-                f"{origin}: unknown [tool.darpaflow] key {key!r}")
-    return replace(FlowSpecs(), sources=sources, sanitizers=sanitizers,
-                   sinks=sinks, exclude=exclude)
-
-
-def load_flow_specs(pyproject_path: Optional[str] = None) -> FlowSpecs:
-    """Specs from ``pyproject.toml``'s ``[tool.darpaflow]`` (defaults
-    when the file or table is absent)."""
-    table = load_tool_table(pyproject_path, tool="darpaflow")
-    return specs_from_table(table) if table else FlowSpecs()
-
-
 __all__ = [
     "CATEGORY_IDS",
     "DEFAULT_SANITIZERS",
@@ -226,6 +169,4 @@ __all__ = [
     "ORDER_CATEGORIES",
     "SANITIZED_MARKER_RE",
     "SEEDED_CONSTRUCTORS",
-    "load_flow_specs",
-    "specs_from_table",
 ]

@@ -621,9 +621,7 @@ def analyze_graph(graph: ProgramGraph,
 def analyze_paths(paths: Sequence[str],
                   specs: Optional[FlowSpecs] = None) -> List[FlowFinding]:
     """Convenience one-shot: graph + fixpoint over ``paths``."""
-    specs = specs or FlowSpecs()
-    graph = build_graph(paths, exclude=specs.exclude)
-    return analyze_graph(graph, specs)
+    return analyze_graph(build_graph(paths), specs or FlowSpecs())
 
 
 __all__ = [

@@ -9,11 +9,6 @@ surprises), so two runs over the same tree — whatever the input path
 order — produce byte-identical reports.  CI uploads the JSON form as
 an artifact; the schema is versioned so downstream tooling can gate
 on it.
-
-darpaflow passes a ``baselined`` count (flows accepted in
-``flow-baseline.json`` and left out of the report): the text summary
-names it and the JSON payload carries it.  darpalint passes none, and
-its JSON has no ``baselined`` key.
 """
 
 from __future__ import annotations
@@ -36,24 +31,20 @@ def _by_rule(findings: Sequence) -> Dict[str, int]:
 
 
 def render_text(findings: Sequence, noun: str = "finding",
-                clean: str = "no findings",
-                baselined: Optional[int] = None) -> str:
+                clean: str = "no findings") -> str:
     """Human-facing report: one entry per finding plus a summary."""
     lines = [finding.render() for finding in findings]
-    suffix = (f" ({baselined} baselined {noun}(s) not shown)"
-              if baselined else "")
     if findings:
         breakdown = ", ".join(f"{rule}={count}" for rule, count
                               in sorted(_by_rule(findings).items()))
         lines.append("")
-        lines.append(f"{len(findings)} {noun}(s) ({breakdown}){suffix}")
+        lines.append(f"{len(findings)} {noun}(s) ({breakdown})")
     else:
-        lines.append(f"clean: {clean}{suffix}")
+        lines.append(f"clean: {clean}")
     return "\n".join(lines) + "\n"
 
 
-def render_json(findings: Sequence,
-                baselined: Optional[int] = None) -> str:
+def render_json(findings: Sequence) -> str:
     """Machine-facing report (sorted keys, stable ordering)."""
     payload = {
         "version": REPORT_VERSION,
@@ -61,30 +52,26 @@ def render_json(findings: Sequence,
         "by_rule": _by_rule(findings),
         "findings": [finding.to_dict() for finding in findings],
     }
-    if baselined is not None:
-        payload["baselined"] = baselined
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
 def render(findings: Sequence, fmt: str = "text", noun: str = "finding",
-           clean: str = "no findings",
-           baselined: Optional[int] = None) -> str:
+           clean: str = "no findings") -> str:
     if fmt == "text":
-        return render_text(list(findings), noun, clean, baselined)
+        return render_text(list(findings), noun, clean)
     if fmt == "json":
-        return render_json(list(findings), baselined)
+        return render_json(list(findings))
     raise ValueError(f"unknown report format {fmt!r}")
 
 
 def emit(prog: str, findings: Sequence, fmt: str, output: Optional[str],
-         noun: str = "finding", clean: str = "no findings",
-         baselined: Optional[int] = None) -> int:
+         noun: str = "finding", clean: str = "no findings") -> int:
     """Write the report to ``output`` (or stdout); the CLI's exit code.
 
     1 when there are findings, 0 when clean, 2 when ``output`` cannot
     be written (:mod:`repro.exits`).
     """
-    report = render(findings, fmt, noun, clean, baselined)
+    report = render(findings, fmt, noun, clean)
     if output:
         try:
             with open(output, "w", encoding="utf-8") as fp:

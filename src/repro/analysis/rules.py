@@ -10,7 +10,8 @@ simulated clock and explicit seeds*:
   per worker.  Simulation state must use
   :class:`repro.android.clock.SimulatedClock`; genuinely wall-clock
   needs (user-facing progress, micro-bench timing) go through the
-  allowlisted :mod:`repro.wallclock` helper.
+  :mod:`repro.wallclock` helper, whose one clock read carries the
+  inline suppression.
 - **DL002 unseeded-rng** — the ``random`` module's global instance and
   numpy's legacy global RNG are process-wide hidden state; an unseeded
   ``random.Random()``/``default_rng()`` seeds from the OS.  All
@@ -46,8 +47,8 @@ simulated clock and explicit seeds*:
 
 Rules are deliberately syntactic: no type inference, no data flow.
 False positives are handled by ``# darpalint: disable=RULE`` inline
-suppressions or ``[tool.darpalint.allow]`` path allowlists — both of
-which require a human to leave a justification behind.
+suppressions, which leave the justification on the very line they
+exempt.
 """
 
 from __future__ import annotations
@@ -76,6 +77,23 @@ class Rule:
         return Finding(path=ctx.path, line=getattr(node, "lineno", 1),
                        col=getattr(node, "col_offset", 0), rule=self.id,
                        message=message, hint=self.hint)
+
+
+#: Function-name globs inside which DL003 (unordered iteration) fires.
+DL003_FUNCTIONS: Tuple[str, ...] = (
+    "*merge*", "*snapshot*", "*export*", "*to_dict*", "*to_json*",
+    "*serialize*", "*prometheus*", "*jsonl*",
+)
+
+#: Function-name globs inside which DL004 (float accumulation) fires.
+DL004_FUNCTIONS: Tuple[str, ...] = ("*merge*", "*snapshot*")
+
+#: Function-name globs inside which DL007 (undocumented matmul
+#: reduction) fires — the merge/reduction scopes where a BLAS dot
+#: product hides an order-sensitive float sum.
+DL007_FUNCTIONS: Tuple[str, ...] = (
+    "*merge*", "*reduce*", "*accumulate*", "*fold*", "*snapshot*",
+)
 
 
 def _in_scope(ctx: FileContext, patterns: Sequence[str]) -> bool:
@@ -228,7 +246,7 @@ class UnorderedIterationRule(Rule):
                 yield comp.iter
 
     def check(self, node: ast.AST, ctx: FileContext) -> Iterator[Finding]:
-        if not _in_scope(ctx, ctx.config.dl003_functions):
+        if not _in_scope(ctx, DL003_FUNCTIONS):
             return
         order_erased = any(
             callee.rpartition(".")[2] in ORDER_ERASERS
@@ -296,7 +314,7 @@ class FloatAccumulationRule(Rule):
             "over the collected values — float += is order-sensitive")
 
     def check(self, node: ast.AST, ctx: FileContext) -> Iterator[Finding]:
-        if not _in_scope(ctx, ctx.config.dl004_functions):
+        if not _in_scope(ctx, DL004_FUNCTIONS):
             return
         if isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Add):
             if _is_floaty(node.value):
@@ -421,7 +439,7 @@ class UndocumentedMatmulReductionRule(Rule):
         return False
 
     def check(self, node: ast.AST, ctx: FileContext) -> Iterator[Finding]:
-        if not _in_scope(ctx, ctx.config.dl007_functions):
+        if not _in_scope(ctx, DL007_FUNCTIONS):
             return
         if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult):
             what = "the @ operator"
@@ -536,6 +554,9 @@ def rules_for_ids(ids: Iterable[str]) -> Tuple[Rule, ...]:
 
 __all__ = [
     "ALL_RULES",
+    "DL003_FUNCTIONS",
+    "DL004_FUNCTIONS",
+    "DL007_FUNCTIONS",
     "RULES_BY_ID",
     "Rule",
     "WallClockRule",

@@ -195,7 +195,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         report = daemon.run(resume=args.resume, drain_at_ms=args.drain_at,
                             max_batches=args.max_batches)
     except JournalError as exc:
-        return fail("serve", str(exc), 1)
+        return fail("serve", str(exc))
     c = report.counters
     print(f"offered {c['offered']}  admitted {c['admitted']}  "
           f"completed {c['completed']}")
@@ -393,7 +393,7 @@ def _cmd_top(args: argparse.Namespace) -> int:
                     spans[session], session=session))
                 for session in sorted(spans))
         except ValueError as exc:
-            return fail("top", f"cannot read trace: {exc}", 1)
+            return fail("top", f"cannot read trace: {exc}")
         source = args.trace
     else:
         _, _, fleet = _run_telemetry_fleet(args)

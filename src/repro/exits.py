@@ -8,9 +8,6 @@
 - ``3`` — provenance mismatch: ``regress`` refuses to compare payloads
   from different experiments.
 
-Two older paths exit 1 on bad input and keep doing so: ``serve`` on an
-unusable journal and ``top`` on an unreadable trace.
-
 Stdlib-only, so ``python -m repro.analysis`` stays numpy-free.
 """
 

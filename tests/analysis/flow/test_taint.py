@@ -6,6 +6,7 @@ import textwrap
 
 from repro.analysis import render_json, render_text
 from repro.analysis.flow import FlowSpecs, analyze_paths
+from repro.analysis.flow.specs import DEFAULT_SANITIZERS
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 CHAIN = os.path.join(FIXTURES, "chain")
@@ -116,6 +117,22 @@ class TestSanitizers:
         """)
         assert findings == []
 
+    def test_configured_sanitizer_erases_a_value_taint(self, tmp_path):
+        target = tmp_path / "mod" / "mod.py"
+        target.parent.mkdir()
+        target.write_text(
+            "import time\n"
+            "from repro.ops.routes import canonical_bytes\n"
+            "from mylib import canon\n\n"
+            "def emit():\n"
+            "    stamp = canon(time.time())\n"
+            "    return canonical_bytes({'stamp': stamp})\n")
+        dirty = analyze_paths([str(target.parent)], FlowSpecs())
+        assert [f.rule for f in dirty] == ["DF001"]
+        specs = FlowSpecs(sanitizers={**DEFAULT_SANITIZERS,
+                                      "mylib.canon": None})
+        assert analyze_paths([str(target.parent)], specs) == []
+
 
 class TestCategories:
     def test_seeded_constructor_is_clean_unseeded_is_not(self, tmp_path):
@@ -187,8 +204,8 @@ class TestDeterminism:
         for _ in range(6):
             rng.shuffle(trees)
             findings = analyze_paths(list(trees), FlowSpecs())
-            text = render_text(findings, "flow", baselined=0)
-            payload = render_json(findings, baselined=0)
+            text = render_text(findings, "flow")
+            payload = render_json(findings)
             if baseline_text is None:
                 baseline_text, baseline_json = text, payload
             assert text == baseline_text

@@ -1,13 +1,15 @@
 """CLI exit codes and report plumbing, mirroring tests/test_cli.py.
 
 Conventions under test (same as ``repro.bench.regress``): 0 = clean,
-1 = findings, 2 = usage error (missing path / unknown rule / bad
-config), argparse's own usage failures also exit 2.
+1 = findings, 2 = usage error (missing path / unknown rule),
+argparse's own usage failures also exit 2.
 """
 
 import json
 import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -36,8 +38,10 @@ class TestExitCodes:
         assert "clean: no findings" in capsys.readouterr().out
 
     def test_final_src_tree_exits_zero(self, capsys):
-        # The acceptance bar: the repo lints itself clean.
-        assert main(["src"]) == 0
+        # The acceptance bar: the CI gate's targets lint clean, with the
+        # inline markers as the only exemptions.
+        assert main(["src", "benchmarks",
+                     os.path.join("tests", "ops", "regen_fixture.py")]) == 0
         assert "clean" in capsys.readouterr().out
 
     def test_dirty_tree_exits_one_with_all_rules(self, capsys):
@@ -57,30 +61,27 @@ class TestExitCodes:
         assert main(["--rules", "DL999", CLEAN]) == 2
         assert "unknown rule id" in capsys.readouterr().err
 
-    def test_malformed_config_exits_two(self, tmp_path, capsys):
-        bad = tmp_path / "pyproject.toml"
-        bad.write_text("[tool.darpalint]\nsurprise = true\n")
-        assert main(["--config", str(bad), CLEAN]) == 2
-        assert "bad config" in capsys.readouterr().err
-
 
 class TestListRules:
     def test_lists_every_rule_and_exits_zero(self, capsys):
-        assert main(["--list-rules", "--no-config"]) == 0
-        out = capsys.readouterr().out
-        for rule in ("DL001", "DL002", "DL003", "DL004", "DL005", "DL006",
-                     "DL007", "DL008"):
-            assert rule in out
-        # Without config nothing is allowlisted.
-        assert "allowlisted for" not in out
-        assert "enabled everywhere" in out
-
-    def test_shows_allowlisted_paths_from_pyproject(self, capsys):
-        # The repo's own [tool.darpalint] allowlists DL001 for the
-        # wallclock module; --list-rules must surface that state.
         assert main(["--list-rules"]) == 0
         out = capsys.readouterr().out
-        assert "allowlisted for: repro/wallclock.py" in out
+        # One line per rule, in id order: no path is allowlisted.
+        assert [line.split()[0] for line in out.splitlines()] == \
+            ["DL001", "DL002", "DL003", "DL004", "DL005", "DL006",
+             "DL007", "DL008"]
+        assert "allowlisted" not in out
+
+    def test_shows_allowlisted_paths_from_pyproject(self, capsys):
+        # The repo's pyproject carries no [tool.darpalint] table, so
+        # --list-rules shows no allowlisted path: the wallclock module's
+        # DL001 exemption is an inline marker instead.
+        with open("pyproject.toml") as handle:
+            assert "[tool.darpalint]" not in handle.read()
+        assert main(["--list-rules"]) == 0
+        assert "repro/wallclock.py" not in capsys.readouterr().out
+        with open(os.path.join("src", "repro", "wallclock.py")) as handle:
+            assert "# darpalint: disable=DL001" in handle.read()
 
     def test_repro_cli_plumbs_list_rules(self, capsys):
         from repro.cli import main as repro_main
@@ -108,13 +109,13 @@ class TestReports:
         # The acceptance bar: byte-identical output across two runs
         # with shuffled input path order.
         trees = [os.path.join(FIXTURES, name)
-                 for name in ("dirty", "clean", "suppressed", "allowlisted")]
+                 for name in ("dirty", "clean", "suppressed")]
         shuffled = list(trees)
         random.Random(3).shuffle(shuffled)
         a, b = tmp_path / "a.json", tmp_path / "b.json"
-        assert main(["--format", "json", "--no-config",
+        assert main(["--format", "json",
                      "--output", str(a)] + trees) == 1
-        assert main(["--format", "json", "--no-config",
+        assert main(["--format", "json",
                      "--output", str(b)] + shuffled) == 1
         assert a.read_bytes() == b.read_bytes()
 
@@ -138,3 +139,18 @@ class TestReproCliDelegation:
             repro_main(["lint", "--help"])
         assert excinfo.value.code == 0
         assert capsys.readouterr().out == build_parser().format_help()
+
+
+class TestStdlibOnly:
+    def test_both_analyzer_clis_import_without_numpy(self):
+        # The CI lint job installs nothing: both gates must run on a
+        # bare interpreter, so neither CLI may pull numpy in.
+        src = os.path.join(os.path.dirname(__file__), os.pardir, os.pardir,
+                           "src")
+        probe = ("import sys\n"
+                 "import repro.analysis.cli, repro.analysis.flow.cli\n"
+                 "print('numpy' in sys.modules)\n")
+        env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+        result = subprocess.run([sys.executable, "-c", probe], env=env,
+                                capture_output=True, text=True, check=True)
+        assert result.stdout.strip() == "False"

@@ -1,32 +1,27 @@
-"""Engine mechanics: determinism, suppressions, config, parse errors."""
+"""Engine mechanics: determinism, suppressions, parse errors."""
 
 import json
 import os
 import random
 
-import pytest
-
 from repro.analysis import (
-    ConfigError,
-    LintConfig,
     LintEngine,
     PARSE_ERROR_RULE,
-    config_from_table,
     iter_python_files,
-    load_config,
     render_json,
     render_text,
 )
-from repro.analysis.config import _parse_mini_toml
 from repro.analysis.engine import _collect_suppressions
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 ALL_TREES = [os.path.join(FIXTURES, name)
-             for name in ("dirty", "clean", "suppressed", "allowlisted")]
+             for name in ("dirty", "clean", "suppressed")]
+WALLCLOCK = os.path.join("src", "repro", "wallclock.py")
+DL001_MARKER = "  # darpalint: disable=DL001"
 
 
 def engine() -> LintEngine:
-    return LintEngine(config=LintConfig())
+    return LintEngine()
 
 
 class TestDeterminism:
@@ -139,43 +134,17 @@ class TestScopeAndAliases:
         assert engine().lint_source(source_ok) == []
 
 
-class TestConfig:
-    def test_repo_pyproject_parses_and_allowlists_wallclock(self):
-        config = load_config()
-        assert "repro/wallclock.py" in config.allow.get("DL001", ())
-
-    def test_unknown_key_raises(self):
-        with pytest.raises(ConfigError):
-            config_from_table({"surprise": True})
-
-    def test_allow_must_be_table_of_string_lists(self):
-        with pytest.raises(ConfigError):
-            config_from_table({"allow": {"DL001": 7}})
-
-    def test_mini_toml_agrees_with_tomllib_on_real_configs(self):
-        import tomllib
-        for path in (
-                os.path.join(FIXTURES, "allowlisted", "pyproject.toml"),
-                "pyproject.toml"):
-            with open(path, "rb") as fp:
-                want = tomllib.load(fp).get("tool", {}).get("darpalint")
-            if want is None:
-                continue
-            with open(path, encoding="utf-8") as fp:
-                got = _parse_mini_toml(fp.read())["tool"]["darpalint"]
-            assert got == want
-
-    def test_mini_toml_multiline_lists_and_scalars(self):
-        text = (
-            "[tool.darpalint]\n"
-            "exclude = [\n"
-            "    'a/*.py',  # with a comment\n"
-            "    \"b/*.py\",\n"
-            "]\n"
-            "[tool.darpalint.allow]\n"
-            "DL001 = ['x.py']\n"
-        )
-        table = _parse_mini_toml(text)["tool"]["darpalint"]
-        config = config_from_table(table)
-        assert config.exclude == ("a/*.py", "b/*.py")
-        assert config.allow == {"DL001": ("x.py",)}
+class TestInlineMarkersAreTheOnlyExemption:
+    def test_wallclock_marker_is_the_one_dl001_exemption(self):
+        with open(WALLCLOCK, encoding="utf-8") as fp:
+            source = fp.read()
+        lines = source.splitlines()
+        marked = [n for n, line in enumerate(lines, 1)
+                  if DL001_MARKER in line]
+        assert len(marked) == 1
+        assert "time.perf_counter()" in lines[marked[0] - 1]
+        assert engine().lint_source(source, path=WALLCLOCK) == []
+        findings = engine().lint_source(
+            source.replace(DL001_MARKER, ""), path=WALLCLOCK)
+        assert [(f.rule, f.line) for f in findings] == \
+            [("DL001", marked[0])]

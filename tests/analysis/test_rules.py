@@ -4,12 +4,7 @@ import os
 
 import pytest
 
-from repro.analysis import (
-    LintConfig,
-    LintEngine,
-    load_config,
-    rules_for_ids,
-)
+from repro.analysis import LintEngine, rules_for_ids
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -27,9 +22,7 @@ DIRTY = [
 
 
 def engine() -> LintEngine:
-    # Explicit default config: the repo's own [tool.darpalint] must not
-    # leak into fixture expectations.
-    return LintEngine(config=LintConfig())
+    return LintEngine()
 
 
 class TestDirtyFixtures:
@@ -50,7 +43,7 @@ class TestDirtyFixtures:
     @pytest.mark.parametrize("filename,rule", DIRTY,
                              ids=[rule for _, rule in DIRTY])
     def test_rule_filter_isolates_each_rule(self, filename, rule):
-        eng = LintEngine(rules=rules_for_ids([rule]), config=LintConfig())
+        eng = LintEngine(rules=rules_for_ids([rule]))
         findings = eng.lint_paths([os.path.join(FIXTURES, "dirty")])
         assert [f.rule for f in findings] == [rule]
         assert findings[0].path.endswith(filename)
@@ -97,18 +90,3 @@ class TestSuppressions:
         findings = engine().lint_source(source, path="suppressed.py")
         assert sorted(f.rule for f in findings) == ["DL001", "DL005"]
 
-
-class TestAllowlists:
-    def test_fixture_config_allowlists_and_excludes(self):
-        config = load_config(
-            os.path.join(FIXTURES, "allowlisted", "pyproject.toml"))
-        eng = LintEngine(config=config)
-        findings = eng.lint_paths([os.path.join(FIXTURES, "allowlisted")])
-        assert findings == []
-
-    def test_without_config_the_same_tree_is_dirty(self):
-        findings = engine().lint_paths([os.path.join(FIXTURES, "allowlisted")])
-        by_file = sorted((os.path.basename(f.path), f.rule)
-                         for f in findings)
-        assert by_file == [("generated_skip_me.py", "DL001"),
-                           ("timing_helper.py", "DL001")]

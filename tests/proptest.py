@@ -42,7 +42,7 @@ from typing import Dict, List, Set
 import numpy as np
 import pytest
 
-from repro.analysis import LintConfig, LintEngine, render_json
+from repro.analysis import LintEngine, render_json
 from repro.analysis.flow import FlowSpecs
 from repro.analysis.flow import analyze_paths as flow_analyze
 from repro.android import (
@@ -689,9 +689,7 @@ def _pick(rng: np.random.Generator, options):
 
 
 def _lint_rules(source: str) -> List[str]:
-    # Explicit default config so the repo's own [tool.darpalint]
-    # allowlists cannot leak into generated-snippet expectations.
-    engine = LintEngine(config=LintConfig())
+    engine = LintEngine()
     return sorted({f.rule for f in engine.lint_source(source, path="gen.py")})
 
 
@@ -911,8 +909,7 @@ class TestDarpaflowProperty:
         baseline = None
         for _ in range(4):
             order = [dirs[int(i)] for i in rng.permutation(len(dirs))]
-            payload = render_json(flow_analyze(order, FlowSpecs()),
-                                  baselined=0)
+            payload = render_json(flow_analyze(order, FlowSpecs()))
             if baseline is None:
                 baseline = payload
             assert payload == baseline

@@ -118,20 +118,27 @@ class TestTelemetryCommands:
         out = capsys.readouterr().out
         assert "reaction" in out and "1 session(s)" in out
 
-    def test_top_missing_trace_exits_one(self, tmp_path, capsys):
+    def test_top_missing_trace_exits_two(self, tmp_path, capsys):
         rc = main(["top", "--trace", str(tmp_path / "nope.jsonl")])
-        assert rc == 1
+        assert rc == 2
         assert "cannot read trace" in capsys.readouterr().err
 
-    def test_top_malformed_trace_exits_one(self, tmp_path, capsys):
+    def test_top_malformed_trace_exits_two(self, tmp_path, capsys):
         bad = tmp_path / "bad.jsonl"
         bad.write_text('{"name": "debounce"}\n{not json\n')
-        assert main(["top", "--trace", str(bad)]) == 1
+        assert main(["top", "--trace", str(bad)]) == 2
         assert "malformed JSONL" in capsys.readouterr().err
         not_spans = tmp_path / "notspans.jsonl"
         not_spans.write_text('{"rows": 3}\n')
-        assert main(["top", "--trace", str(not_spans)]) == 1
+        assert main(["top", "--trace", str(not_spans)]) == 2
         assert "not a span record" in capsys.readouterr().err
+
+    def test_serve_resume_without_journal_exits_two(self, tmp_path,
+                                                    capsys):
+        rc = main(["serve", "--apps", "1", "--resume",
+                   "--out", str(tmp_path / "void")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("serve: ")
 
     def test_trace_unreadable_model_exits_two(self, tmp_path, capsys):
         rc = main(["trace", "--model", str(tmp_path / "absent.npz"),
