@@ -2,7 +2,8 @@
 
 These use pytest-benchmark's repeated timing (no pedantic one-shots):
 the conv forward pass, the IoU matrix, NMS, screen rendering, the
-view-tree raster of corpus screens, the detector-input resize, box refinement, and the end-to-end per-frame
+view-tree raster of corpus screens, three devices' noisy screenshots in
+turn, the detector-input resize, box refinement, and the end-to-end per-frame
 detection latency that the paper's overhead model depends on.  The
 plan-forward benchmark additionally persists its timings to
 ``BENCH_kernels.json`` at the repository root (override the directory
@@ -109,6 +110,30 @@ def test_micro_raster_corpus(benchmark):
     assert {s.fullscreen for s in states} == {True, False}
     canvases = benchmark(lambda: [render_screen(wm) for wm in wms])
     assert [c.pixels.shape for c in canvases] == [(640, 360, 3)] * len(wms)
+
+
+def test_micro_render_lockstep(benchmark):
+    """Three devices' screenshots in turn, as the daemon's lockstep
+    session threads take them: one round renders a fixed seed-0 corpus
+    screen per device with sensor noise from the device's generator, so
+    the noise helper serves three generators' streams at once."""
+    corpus = build_corpus(seed=0, n_negatives=4)
+    devices = []
+    for k, sample in enumerate(corpus.samples[:3]):
+        device = Device(seed=k)
+        device.window_manager.attach_app_window(
+            sample.screen.root, "com.dataset.render",
+            fullscreen=sample.screen.fullscreen)
+        devices.append(device)
+
+    def round_robin():
+        return [render_screen(d.window_manager, noise_rng=d.rng)
+                for d in devices]
+
+    canvases = benchmark(round_robin)
+    assert [c.pixels.shape for c in canvases] == [(640, 360, 3)] * 3
+    assert all(0.0 <= c.pixels.min() and c.pixels.max() <= 1.0
+               for c in canvases)
 
 
 def test_micro_resize(benchmark, screen_image):

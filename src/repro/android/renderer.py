@@ -10,11 +10,11 @@ sees a rendering style it wasn't trained on.
 Sensor noise is the costliest part of a screenshot (691,200 Gaussian
 draws per 640x360 frame), and it depends on nothing but the noise
 generator's state, so :func:`render_screen` takes it from a helper
-thread when a core is idle: drawn up to two frames ahead, from the
-generator's previous screenshot on, or while the calling thread
-rasterises (``Generator.standard_normal`` releases the GIL).  Pixels and
-the generator's state are bit-identical to rasterising first and
-calling ``Canvas.add_noise`` after.
+thread when it has a core: drawn up to two frames ahead of each
+generator from the generator's second screenshot on, or while the
+calling thread rasterises (``Generator.standard_normal`` releases the
+GIL).  Pixels and the generator's state are bit-identical to
+rasterising first and calling ``Canvas.add_noise`` after.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from __future__ import annotations
 import copy
 import os
 import threading
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -97,20 +97,23 @@ def render_window(window: Window, screen: Screen) -> Canvas:
     return canvas
 
 
-def _core_idle() -> bool:
+def _core_idle(helper: Optional[int] = None) -> bool:
     """Whether fewer of this process's threads run than it has CPUs.
 
     A thread counts as running when ``/proc/self/task/<tid>/stat`` shows
-    state ``R``; the calling thread always does.  An OpenBLAS worker
-    spinning after a GEMM counts too: a helper beside it would make
-    three threads share two cores and slow the raster down more than
-    the overlap saves.  Without ``/proc`` or CPU affinity (not Linux),
-    no core counts as idle.
+    state ``R``; the calling thread always does.  The noise helper (the
+    native thread id ``helper``) does not count: it is the process's own
+    busy core, so handing it more frames takes no core from anything
+    else.  An OpenBLAS worker spinning after a GEMM counts: a helper
+    beside it would make three threads share two cores and slow the
+    raster down more than the overlap saves.  Without ``/proc`` or CPU
+    affinity (not Linux), no core counts as idle.
     """
     try:
         cpus = len(os.sched_getaffinity(0))
         running = sum(_thread_running(tid)
-                      for tid in os.listdir("/proc/self/task"))
+                      for tid in os.listdir("/proc/self/task")
+                      if tid != str(helper))
     except (AttributeError, OSError):
         return False
     return running < cpus
@@ -139,256 +142,367 @@ def _same_state(a, b) -> bool:
 
 
 class _Frame:
-    """One frame of noise in the helper's queue."""
+    """One frame of noise in a generator's stream."""
 
-    __slots__ = ("noise", "start", "end", "drawn", "error")
+    __slots__ = ("noise", "start", "end", "drawn", "error", "seq", "dropped")
 
-    def __init__(self, noise: np.ndarray, start: Optional[dict]) -> None:
+    def __init__(self, noise: np.ndarray, start: Optional[dict],
+                 seq: int) -> None:
         self.noise = noise
         # The generator's state where the frame begins: the caller's for
-        # the first frame, the end of the frame before it otherwise (None
-        # until that one is complete).
+        # the stream's first frame, the end of the frame before it
+        # otherwise (None until that one is complete).
         self.start = start
         self.end: Optional[dict] = None  # the clone's state once complete
-        self.drawn = 0                   # rows the helper has drawn
+        self.drawn = 0                   # rows drawn so far
         self.error: Optional[BaseException] = None  # raised by its draw
+        self.seq = seq                   # queue order among all frames
+        self.dropped = False             # unlinked from its stream
+
+
+class _Stream:
+    """One noise generator as the helper knows it: when it last rendered,
+    and the frames queued for it, in stream order."""
+
+    __slots__ = ("rng", "frames", "clone", "scale", "claimed", "held",
+                 "last", "previous")
+
+    def __init__(self, rng: np.random.Generator) -> None:
+        # Held, so that no other generator can take over its id().
+        self.rng = rng
+        self.frames: List[_Frame] = []
+        # The private copy the frames are drawn from; only while there
+        # are frames.
+        self.clone: Optional[np.random.Generator] = None
+        self.scale = 0.0
+        self.claimed = False  # a render owns the head frame
+        self.held = False     # the rendering thread draws the head
+        self.last: Optional[int] = None      # tick of its latest render
+        self.previous: Optional[int] = None  # and of the one before
 
 
 class _LookAhead:
-    """The process's one noise helper: a thread, two frames and a queue.
+    """The process's one noise helper: a thread, per-generator streams
+    and three frame buffers.
 
-    The queue holds up to two frames of one noise generator's stream in
-    order.  The helper draws them one after the other, in whole
-    ``NOISE_ROWS`` blocks and in row order, from one private clone of the
-    generator (its ``bit_generator.state`` copied when the queue starts),
-    so the source generator is never touched until a render commits a
-    frame.  Each frame records its start state and, once complete, a
-    snapshot of its end state.
+    Each generator that renders gets a stream: up to two frames of its
+    noise in stream order, drawn from the stream's private clone (the
+    generator's ``bit_generator.state`` copied when the stream's first
+    frame is queued), so the generator itself is never touched until a
+    render commits a frame.  Each frame records its start state and,
+    once complete, a snapshot of its end state.  The helper draws whole
+    ``NOISE_ROWS`` blocks and, block by block, serves the highest
+    priority frame it can draw (a stream's first incomplete one): the
+    head of a stream a render has claimed first (a current frame is
+    one), then look-ahead frames in the order they were queued.
 
-    :meth:`claim` gives a render the queue's head frame when the
-    generator's state still equals the frame's start state, with the same
-    frame shape and scale (a look-ahead); any mismatch discards the whole
-    queue.  Otherwise, when a core is idle (:func:`_core_idle`), it
-    starts a queue of the current frame alone for the helper to draw
-    while the caller rasterises.  :meth:`finish` then applies the head.
-    A complete head, or one the helper has drawn at least half of (it
-    waits for the rest), is added and clipped in place while the helper
-    goes on with the next frame, and its end state is copied into the
-    generator.  A head less than half drawn (a helper that started late
-    or is held up) stops the helper after its block, the rows it did not
-    reach are drawn here from the clone, and the queue is dropped; for a
-    generator that fed the render before, the look-ahead starts over from
-    the clone before the head is applied.  So outside a render the
-    generator is always in its sequential state, and throwing frames
-    away (:meth:`drop`, or a :meth:`claim` for another state) is always
-    safe.
+    :meth:`claim` gives a render its stream when the head frame starts
+    at the generator's current state, with the same frame shape and
+    scale; a mismatch drops the stream's frames.  Otherwise, if the
+    helper has a core (:meth:`_has_core`), it queues the current frame
+    for the helper to draw while the caller rasterises.  :meth:`finish`
+    applies the head.  A complete head, or one the helper has drawn at
+    least half of (it waits for the rest), is added and clipped in
+    place, and its end state is copied into the generator.  A head less
+    than half drawn is taken over: the helper leaves the stream, the
+    rows it did not reach are drawn here from the clone, and the frames
+    behind the head stay queued (the clone stands at their start).  So
+    outside a render a generator is always in its sequential state, and
+    dropping frames is always safe.
 
-    :meth:`look_ahead` tops the queue up to two frames as soon as a
-    render has applied its noise, but only for a generator that fed the
-    render before too (a device's, whose screenshots follow one another;
-    not the one-shot generators of ``datagen.corpus.render_state``).  The
-    object holds one caller generator (the last render's); the two
-    float32 frames and the float64 block buffer are allocated once per
-    frame shape.  A render that finds the queue owned by another render
-    (daemon session threads) draws inline with ``Canvas.add_noise``,
-    which calls the same :func:`draw_noise`.
+    :meth:`look_ahead` notes every render and tops the generator's
+    stream up to two frames from its second render on (a device's,
+    whose screenshots follow one another; not the one-shot generators
+    of ``datagen.corpus.render_state``).  All streams share at most
+    three float32 frame buffers, allocated once per frame shape; a
+    frame that finds none free reclaims one (:meth:`_buffer`).  Clones
+    and block buffers are reused too, and the records of the
+    ``RECORDS`` most recently rendered generators are kept.  A render
+    whose generator another render owns, or that finds no core or no
+    buffer, draws inline with ``Canvas.add_noise``, which calls the same
+    :func:`draw_noise`.
     """
 
     #: Frames the helper draws ahead of a generator's renders.
     DEPTH = 2
+    #: Frame buffers shared by all streams.
+    BUFFERS = 3
+    #: Generators remembered: the most recently rendered ones.
+    RECORDS = 16
 
     def __init__(self) -> None:
         self._cond = threading.Condition()
         self._thread: Optional[threading.Thread] = None
-        # Guarded by _cond.
-        self._claimed = False  # a render owns the queue's head
-        self._queue: List[_Frame] = []
-        self._drawing = False  # the helper is drawing
-        self._stop = False     # the helper stops after its block
-        self._last: Optional[np.random.Generator] = None
-        # Changed only while the queue is empty.
-        self._clone: Optional[np.random.Generator] = None
-        self._scale = 0.0
-        self._buffers: List[np.ndarray] = []  # DEPTH frames of one shape
-        self._scratch: Optional[np.ndarray] = None
+        # Guarded by _cond.  Streams by id(rng), least recently rendered
+        # first.
+        self._streams: Dict[int, _Stream] = {}
+        self._tick = 0  # renders noted
+        self._seq = 0   # frames queued
+        self._drawing: Optional[_Frame] = None  # the helper's block's frame
+        self._shape: Optional[Tuple[int, ...]] = None
+        self._buffers: List[np.ndarray] = []  # all frame buffers
+        self._free: List[np.ndarray] = []     # those no frame holds
+        self._clones: List[np.random.Generator] = []  # no stream holds
+        self._scratch: Optional[np.ndarray] = None  # the helper's block
+        self._spares: List[np.ndarray] = []  # take-over block buffers
 
     def claim(self, rng: np.random.Generator, shape: Tuple[int, ...],
-              scale: float) -> bool:
-        """Own the head frame of the queue for ``rng``, or ``False``
-        (draw inline) if another render owns it or no core is idle."""
+              scale: float) -> Optional[_Stream]:
+        """Own ``rng``'s stream, with its head frame queued, or ``None``
+        (draw inline)."""
         with self._cond:
-            if self._claimed:
-                return False
-            if self._queue:
-                if self._continues(rng, shape, scale):
-                    self._claimed = True
-                    return True
-                self._discard()
-            if not _core_idle():
-                return False
-            self._restart(rng, shape, scale)
-            self._claimed = True
-            return True
+            stream = self._streams.get(id(rng))
+            if stream is None:
+                stream = self._record(rng)
+            elif stream.claimed:
+                return None
+            stream.claimed = True
+            if stream.frames:
+                if self._continues(stream, shape, scale):
+                    self._cond.notify_all()  # its head now goes first
+                    return stream
+                self._remove(stream, stream.frames)
+            if self._has_core() and self._fits(shape):
+                noise = self._buffer(stream, stale_only=False)
+                if noise is not None:
+                    self._push(stream, noise, rng.bit_generator.state, scale)
+                    return stream
+            stream.claimed = False
+            return None
 
-    def finish(self, rng: np.random.Generator, pixels: np.ndarray) -> None:
-        """Complete the claimed frame, add and clip it into ``pixels``,
+    def finish(self, stream: _Stream, rng: np.random.Generator,
+               pixels: np.ndarray) -> None:
+        """Complete the claimed head, add and clip it into ``pixels``,
         and advance ``rng`` past it."""
         with self._cond:
-            head = self._queue[0]
+            head = stream.frames[0]
             # A helper past half the frame is keeping up: wait for it,
             # so the stream it draws never stops.
             while (head.end is None and head.error is None
                    and 2 * head.drawn >= len(head.noise)):
                 self._cond.wait()
-            take_over = head.end is None
+            take_over = head.end is None and head.error is None
             if take_over:
-                self._halt()
+                stream.held = True
+                while self._drawing is head:
+                    self._cond.wait()
+                scratch = (self._spares.pop() if self._spares else
+                           np.empty((NOISE_ROWS,) + head.noise.shape[1:]))
         taken = False
         try:
             if head.error is not None:
                 raise head.error
             if take_over:
-                draw_noise(self._clone, head.noise[head.drawn:], self._scale,
-                           self._scratch)
+                draw_noise(stream.clone, head.noise[head.drawn:],
+                           stream.scale, scratch)
                 with self._cond:
-                    self._restart_after(head, rng)
+                    # The helper may go on with the frame behind it.
+                    self._complete(stream, head)
+                    stream.held = False
+                    self._cond.notify_all()
             apply_noise(pixels, head.noise)
             rng.bit_generator.state = head.end
             taken = True
         finally:
             with self._cond:
-                if taken:
-                    # The next frame, if any, starts at rng's new state.
-                    self._queue.pop(0)
-                else:
-                    self._discard()
-                self._claimed = False
+                if take_over:
+                    stream.held = False
+                    self._spares.append(scratch)
+                # The next frame, if any, starts at rng's new state.
+                self._remove(stream, [head] if taken else stream.frames)
+                stream.claimed = False
+                self._cond.notify_all()
 
-    def drop(self) -> None:
-        """Throw the queue away; its generator was never touched."""
+    def drop(self, stream: _Stream) -> None:
+        """Give up a claimed stream and its frames; its generator was
+        never touched."""
         with self._cond:
-            self._discard()
-            self._claimed = False
+            self._remove(stream, stream.frames)
+            stream.claimed = False
+            self._cond.notify_all()
 
     def look_ahead(self, rng: np.random.Generator, shape: Tuple[int, ...],
                    scale: float) -> None:
-        """Note that ``rng`` fed a render, and queue its next frames if
-        it fed the render before too and the helper is busy with its
-        stream already or a core is idle."""
+        """Note that ``rng`` fed a render, and from its second render on
+        top its stream up to ``DEPTH`` frames if the helper has a core."""
         with self._cond:
-            previous, self._last = self._last, rng
-            if previous is not rng or self._claimed:
+            self._tick += 1
+            stream = self._streams.pop(id(rng), None)
+            if stream is None:
+                stream = self._record(rng)
+            self._streams[id(rng)] = stream
+            stream.previous, stream.last = stream.last, self._tick
+            if (stream.previous is None or stream.claimed
+                    or len(stream.frames) >= self.DEPTH
+                    or not (self._has_core() and self._fits(shape))):
                 return
-            if self._queue and not self._continues(rng, shape, scale):
-                return  # another generator's frames: the next claim decides
-            if len(self._queue) >= self.DEPTH:
-                return
-            busy = any(frame.end is None for frame in self._queue)
-            if not (busy or _core_idle()):
-                return
-            if not self._queue:
-                self._restart(rng, shape, scale)
-            while len(self._queue) < self.DEPTH:
-                self._push(self._queue[-1].end)
+            while len(stream.frames) < self.DEPTH:
+                noise = self._buffer(stream, stale_only=bool(stream.frames))
+                if noise is None:
+                    return
+                start = (stream.frames[-1].end if stream.frames
+                         else rng.bit_generator.state)
+                self._push(stream, noise, start, scale)
 
     # -- under _cond --------------------------------------------------
 
-    def _continues(self, rng: np.random.Generator, shape: Tuple[int, ...],
+    def _record(self, rng: np.random.Generator) -> _Stream:
+        """A new stream for ``rng``; the oldest records with nothing
+        queued or claimed make room."""
+        idle = [key for key, s in self._streams.items()
+                if not (s.frames or s.claimed)]
+        for key in idle[:max(0, len(self._streams) + 1 - self.RECORDS)]:
+            del self._streams[key]
+        stream = self._streams[id(rng)] = _Stream(rng)
+        return stream
+
+    def _continues(self, stream: _Stream, shape: Tuple[int, ...],
                    scale: float) -> bool:
-        """Whether the queue's head is ``rng``'s next frame."""
-        head = self._queue[0]
-        return (head.noise.shape == shape and self._scale == scale
-                and _same_state(rng.bit_generator.state, head.start))
+        """Whether the stream's head is its generator's next frame."""
+        head = stream.frames[0]
+        return (head.noise.shape == shape and stream.scale == scale
+                and _same_state(stream.rng.bit_generator.state, head.start))
 
-    def _restart_after(self, head: _Frame, rng: np.random.Generator) -> None:
-        """End a taken-over ``head`` at the clone's state and drop the
-        frames behind it (the helper draws in order, so it never started
-        them).  For a generator that fed the render before, the
-        look-ahead starts over from there at once, before the head is
-        applied, so the stream waits neither for the add nor for the
-        commit."""
-        head.end = self._clone.bit_generator.state
-        del self._queue[1:]
-        if self._last is rng:
-            self._push(head.end)
+    def _has_core(self) -> bool:
+        """Whether the helper has a core: it is drawing already, or one
+        is idle."""
+        if any(frame.end is None and frame.error is None
+               for stream in self._streams.values()
+               for frame in stream.frames):
+            return True
+        return _core_idle(self._thread.native_id if self._thread else None)
 
-    def _restart(self, rng: np.random.Generator, shape: Tuple[int, ...],
-                 scale: float) -> None:
-        """Start an empty queue over with ``rng``'s current frame."""
-        if not self._buffers or self._buffers[0].shape != shape:
-            self._buffers = [np.empty(shape, dtype=np.float32)
-                             for _ in range(self.DEPTH)]
+    def _fits(self, shape: Tuple[int, ...]) -> bool:
+        """Make the buffers ``shape``'s, dropping every frame of another
+        shape; ``False`` while a render owns one."""
+        while shape != self._shape:
+            queued = [s for s in self._streams.values() if s.frames]
+            if any(s.claimed for s in queued):
+                return False
+            if queued:
+                self._remove(queued[0], queued[0].frames)
+                continue
+            self._shape = shape
+            self._buffers, self._free, self._spares = [], [], []
             self._scratch = np.empty((NOISE_ROWS,) + shape[1:])
-        if (self._clone is None or type(self._clone.bit_generator)
-                is not type(rng.bit_generator)):
-            self._clone = copy.deepcopy(rng)
-        start = rng.bit_generator.state
-        self._clone.bit_generator.state = start
-        self._scale = scale
-        self._push(start)
+        return True
 
-    def _push(self, start: Optional[dict]) -> None:
-        """Queue a frame into the buffer no queued frame uses."""
-        used = [frame.noise for frame in self._queue]
-        noise = next(b for b in self._buffers
-                     if not any(b is u for u in used))
-        self._queue.append(_Frame(noise, start))
-        self._stop = False
+    def _buffer(self, stream: _Stream,
+                stale_only: bool) -> Optional[np.ndarray]:
+        """A frame buffer for ``stream``: a free one, a new one while
+        there are fewer than ``BUFFERS``, or the least recently rendered
+        other generator's last frame's.  With ``stale_only`` (a second
+        frame) only a generator that has not rendered since ``stream``'s
+        previous render gives one up; ``None`` if nothing can be had."""
+        while not self._free:
+            if len(self._buffers) < self.BUFFERS:
+                self._buffers.append(np.empty(self._shape, dtype=np.float32))
+                return self._buffers[-1]
+            victims = [s for s in self._streams.values()
+                       if s.frames and not s.claimed and s is not stream
+                       and not (stale_only and s.last >= stream.previous)]
+            if not victims:
+                return None
+            victim = min(victims, key=lambda s: s.last)
+            self._remove(victim, victim.frames[-1:])
+        return self._free.pop()
+
+    def _push(self, stream: _Stream, noise: np.ndarray,
+              start: Optional[dict], scale: float) -> None:
+        """Queue a frame at the end of ``stream``."""
+        if not stream.frames:
+            kind = type(stream.rng.bit_generator)
+            stream.clone = next(
+                (c for c in self._clones if type(c.bit_generator) is kind),
+                None)
+            if stream.clone is None:
+                stream.clone = copy.deepcopy(stream.rng)
+            else:
+                self._clones.remove(stream.clone)
+            stream.clone.bit_generator.state = start
+            stream.scale = scale
+        self._seq += 1
+        stream.frames.append(_Frame(noise, start, self._seq))
         if self._thread is None:
             self._thread = threading.Thread(target=self._run,
                                             name="render-noise", daemon=True)
             self._thread.start()
         self._cond.notify_all()
 
-    def _halt(self) -> None:
-        """Stop the helper after its block and wait until it has."""
-        self._stop = True
-        while self._drawing:
+    def _remove(self, stream: _Stream, frames: List[_Frame]) -> None:
+        """Unlink ``frames`` (the head, or a tail of the stream) and,
+        once the helper has finished any block of theirs, free their
+        buffers, and the clone if the stream is left empty.  The lock is
+        let go while waiting; the unlinked frames and their buffers are
+        out of everyone's reach meanwhile."""
+        frames = list(frames)
+        for frame in frames:
+            frame.dropped = True
+        stream.frames = [f for f in stream.frames if not f.dropped]
+        clone = None
+        if not stream.frames:
+            clone, stream.clone = stream.clone, None
+        while any(self._drawing is frame for frame in frames):
             self._cond.wait()
+        # A buffer of a shape given up meanwhile (``_fits``) stays out.
+        self._free.extend(frame.noise for frame in frames
+                          if any(frame.noise is b for b in self._buffers))
+        if clone is not None:
+            self._clones.append(clone)
 
-    def _discard(self) -> None:
-        self._halt()
-        self._queue.clear()
+    def _complete(self, stream: _Stream, frame: _Frame) -> None:
+        """Mark ``frame`` drawn to the end, at the clone's state."""
+        frame.drawn = len(frame.noise)
+        frame.end = stream.clone.bit_generator.state
+        following = stream.frames.index(frame) + 1
+        if following < len(stream.frames):
+            stream.frames[following].start = frame.end
 
-    def _next_frame(self) -> Optional[_Frame]:
-        """The frame the helper draws next: the first incomplete one,
-        unless the helper is stopped or a draw failed."""
-        if self._stop:
-            return None
-        for frame in self._queue:
-            if frame.error is not None:
-                return None
-            if frame.end is None:
-                return frame
-        return None
+    def _next_frame(self) -> Optional[Tuple[_Stream, _Frame]]:
+        """The frame the helper draws a block of next, with its stream."""
+        best: Optional[Tuple[_Stream, _Frame]] = None
+        rank: Optional[Tuple[bool, int]] = None
+        for stream in self._streams.values():
+            if stream.held:
+                continue
+            frame = next((f for f in stream.frames if f.end is None), None)
+            if frame is None or frame.error is not None:
+                continue
+            # A claimed head goes first, then queue order.
+            key = (not (stream.claimed and frame is stream.frames[0]),
+                   frame.seq)
+            if rank is None or key < rank:
+                best, rank = (stream, frame), key
+        return best
 
     # -- the helper thread --------------------------------------------
 
     def _run(self) -> None:
         while True:
             with self._cond:
-                frame = self._next_frame()
-                while frame is None:
+                picked = self._next_frame()
+                while picked is None:
                     self._cond.wait()
-                    frame = self._next_frame()
-                self._drawing = True
-            rows = len(frame.noise)
+                    picked = self._next_frame()
+                stream, frame = picked
+                self._drawing = frame
+                clone, scale = stream.clone, stream.scale
+                scratch, y0 = self._scratch, frame.drawn
+            error = None
             try:
-                for y0 in range(0, rows, NOISE_ROWS):
-                    if self._stop:
-                        break
-                    draw_noise(self._clone, frame.noise[y0:y0 + NOISE_ROWS],
-                               self._scale, self._scratch)
-                    frame.drawn = min(rows, y0 + NOISE_ROWS)
+                draw_noise(clone, frame.noise[y0:y0 + NOISE_ROWS], scale,
+                           scratch)
             except BaseException as exc:  # re-raised by finish()
-                frame.error = exc
+                error = exc
             with self._cond:
-                self._drawing = False
-                if frame.error is None and frame.drawn == rows:
-                    frame.end = self._clone.bit_generator.state
-                    following = self._queue.index(frame) + 1
-                    if following < len(self._queue):
-                        self._queue[following].start = frame.end
+                self._drawing = None
+                if not frame.dropped:
+                    if error is not None:
+                        frame.error = error
+                    elif y0 + NOISE_ROWS >= len(frame.noise):
+                        self._complete(stream, frame)
+                    else:
+                        frame.drawn = y0 + NOISE_ROWS
                 self._cond.notify_all()
 
 
@@ -448,9 +562,9 @@ def render_screen(
     With ``noise_rng``, the frame gets the sensor noise of
     ``Canvas.add_noise`` (the same ``rng.normal`` values in the same
     order).  The process's noise helper supplies it when it can: a frame
-    it drew ahead after the generator's last render, or one it draws
-    while the stack rasterises if a core is idle; the rows it has not
-    reached are drawn here.  Otherwise the noise is drawn inline.  The
+    it drew ahead in the generator's stream, or one it draws while the
+    stack rasterises if it has a core; the rows it has not reached are
+    drawn here.  Otherwise the noise is drawn inline.  The
     generator advances only when the noise is applied, so a raster that
     raises leaves it untouched; an error from the draw itself is raised
     here after the raster.
@@ -461,15 +575,15 @@ def render_screen(
         _rasterise(wm, canvas)
         return canvas
     shape = canvas.pixels.shape
-    claimed = _helper.claim(noise_rng, shape, noise_scale)
+    stream = _helper.claim(noise_rng, shape, noise_scale)
     try:
         _rasterise(wm, canvas)
     except BaseException:
-        if claimed:
-            _helper.drop()
+        if stream is not None:
+            _helper.drop(stream)
         raise
-    if claimed:
-        _helper.finish(noise_rng, canvas.pixels)
+    if stream is not None:
+        _helper.finish(stream, noise_rng, canvas.pixels)
     else:
         canvas.add_noise(noise_rng, scale=noise_scale)
     _helper.look_ahead(noise_rng, shape, noise_scale)

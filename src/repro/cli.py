@@ -40,8 +40,6 @@ import importlib
 import sys
 from typing import List, Optional
 
-import numpy as np
-
 from repro.exits import fail
 
 
@@ -70,6 +68,8 @@ def _cmd_dataset(args: argparse.Namespace) -> int:
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
+    import numpy as np
+
     from repro.datagen import build_corpus, split_corpus
     from repro.vision import (TinyYolo, YoloConfig, YoloTrainer,
                               build_detection_dataset)
@@ -97,6 +97,8 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 
 def _load_model(path: str):
+    import numpy as np
+
     from repro.vision import TinyYolo, YoloConfig
     model = TinyYolo(YoloConfig(), seed=0)
     model.load_state_dict(dict(np.load(path)))
@@ -135,6 +137,8 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    import numpy as np
+
     from repro.bench import build_runtime_fleet, run_darpa_over_fleet
     from repro.vision.metrics import ScreenConfusion
 

@@ -154,3 +154,24 @@ class TestStdlibOnly:
         result = subprocess.run([sys.executable, "-c", probe], env=env,
                                 capture_output=True, text=True, check=True)
         assert result.stdout.strip() == "False"
+
+    @pytest.mark.parametrize("argv", [["lint", "--list-rules"],
+                                      ["flow", "--help"]])
+    def test_repro_lint_and_flow_run_with_numpy_blocked(self, argv):
+        # ``python -m repro lint|flow`` goes through repro.cli, which
+        # must not import numpy before it forwards the command line.
+        src = os.path.join(os.path.dirname(__file__), os.pardir, os.pardir,
+                           "src")
+        probe = ("import runpy, sys\n"
+                 "sys.modules['numpy'] = None\n"
+                 f"sys.argv = ['repro'] + {argv!r}\n"
+                 "runpy.run_module('repro', run_name='__main__')\n")
+        env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+        result = subprocess.run([sys.executable, "-c", probe], env=env,
+                                capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        assert "ModuleNotFoundError" not in result.stderr
+        if argv[0] == "lint":
+            assert result.stdout.splitlines()[0].startswith("DL001")
+        else:
+            assert result.stdout.startswith("usage: repro flow")
