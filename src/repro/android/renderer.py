@@ -10,11 +10,12 @@ sees a rendering style it wasn't trained on.
 Sensor noise is the costliest part of a screenshot (691,200 Gaussian
 draws per 640x360 frame), and it depends on nothing but the noise
 generator's state, so :func:`render_screen` takes it from a helper
-thread when it has a core: drawn up to two frames ahead of each
-generator from the generator's second screenshot on, or while the
-calling thread rasterises (``Generator.standard_normal`` releases the
-GIL).  Pixels and the generator's state are bit-identical to
-rasterising first and calling ``Canvas.add_noise`` after.
+thread whenever the process may use two CPUs: drawn up to two frames
+ahead of each generator from the generator's second screenshot on, or
+while the calling thread rasterises (``Generator.standard_normal``
+releases the GIL).  On one CPU every frame draws its noise inline.
+Pixels and the generator's state are bit-identical to rasterising
+first and calling ``Canvas.add_noise`` after.
 """
 
 from __future__ import annotations
@@ -97,36 +98,12 @@ def render_window(window: Window, screen: Screen) -> Canvas:
     return canvas
 
 
-def _core_idle(helper: Optional[int] = None) -> bool:
-    """Whether fewer of this process's threads run than it has CPUs.
-
-    A thread counts as running when ``/proc/self/task/<tid>/stat`` shows
-    state ``R``; the calling thread always does.  The noise helper (the
-    native thread id ``helper``) does not count: it is the process's own
-    busy core, so handing it more frames takes no core from anything
-    else.  An OpenBLAS worker spinning after a GEMM counts: a helper
-    beside it would make three threads share two cores and slow the
-    raster down more than the overlap saves.  Without ``/proc`` or CPU
-    affinity (not Linux), no core counts as idle.
-    """
-    try:
-        cpus = len(os.sched_getaffinity(0))
-        running = sum(_thread_running(tid)
-                      for tid in os.listdir("/proc/self/task")
-                      if tid != str(helper))
-    except (AttributeError, OSError):
-        return False
-    return running < cpus
-
-
-def _thread_running(tid: str) -> bool:
-    try:
-        with open(f"/proc/self/task/{tid}/stat", "rb") as stat_file:
-            stat = stat_file.read()
-    except OSError:  # the thread exited after the listing
-        return False
-    # The state letter follows the parenthesised thread name.
-    return stat[stat.rindex(b")") + 2:][:1] == b"R"
+def _two_cpus() -> bool:
+    """Whether this process may run on at least two CPUs: the noise
+    helper's rule.  On one CPU it would only take turns with the
+    rendering thread; without CPU affinity (not Linux) it is not used."""
+    return (hasattr(os, "sched_getaffinity")
+            and len(os.sched_getaffinity(0)) >= 2)
 
 
 def _same_state(a, b) -> bool:
@@ -198,17 +175,16 @@ class _LookAhead:
 
     :meth:`claim` gives a render its stream when the head frame starts
     at the generator's current state, with the same frame shape and
-    scale; a mismatch drops the stream's frames.  Otherwise, if the
-    helper has a core (:meth:`_has_core`), it queues the current frame
-    for the helper to draw while the caller rasterises.  :meth:`finish`
-    applies the head.  A complete head, or one the helper has drawn at
-    least half of (it waits for the rest), is added and clipped in
-    place, and its end state is copied into the generator.  A head less
-    than half drawn is taken over: the helper leaves the stream, the
-    rows it did not reach are drawn here from the clone, and the frames
-    behind the head stay queued (the clone stands at their start).  So
-    outside a render a generator is always in its sequential state, and
-    dropping frames is always safe.
+    scale; a mismatch drops the stream's frames.  Otherwise it queues
+    the current frame for the helper to draw while the caller
+    rasterises.  :meth:`finish` applies the head.  A complete head, or
+    one the helper has drawn at least half of (it waits for the rest),
+    is added and clipped in place, and its end state is copied into the
+    generator.  A head less than half drawn is taken over: the helper
+    leaves the stream, the rows it did not reach are drawn here from the
+    clone, and the frames behind the head stay queued (the clone stands
+    at their start).  So outside a render a generator is always in its
+    sequential state, and dropping frames is always safe.
 
     :meth:`look_ahead` notes every render and tops the generator's
     stream up to two frames from its second render on (a device's,
@@ -218,9 +194,10 @@ class _LookAhead:
     frame that finds none free reclaims one (:meth:`_buffer`).  Clones
     and block buffers are reused too, and the records of the
     ``RECORDS`` most recently rendered generators are kept.  A render
-    whose generator another render owns, or that finds no core or no
-    buffer, draws inline with ``Canvas.add_noise``, which calls the same
-    :func:`draw_noise`.
+    whose generator another render owns, or that finds no buffer, draws
+    inline with ``Canvas.add_noise``, which calls the same
+    :func:`draw_noise`.  Only a process that may use two CPUs renders
+    through the helper (:func:`render_screen`).
     """
 
     #: Frames the helper draws ahead of a generator's renders.
@@ -262,7 +239,7 @@ class _LookAhead:
                     self._cond.notify_all()  # its head now goes first
                     return stream
                 self._remove(stream, stream.frames)
-            if self._has_core() and self._fits(shape):
+            if self._fits(shape):
                 noise = self._buffer(stream, stale_only=False)
                 if noise is not None:
                     self._push(stream, noise, rng.bit_generator.state, scale)
@@ -324,7 +301,7 @@ class _LookAhead:
     def look_ahead(self, rng: np.random.Generator, shape: Tuple[int, ...],
                    scale: float) -> None:
         """Note that ``rng`` fed a render, and from its second render on
-        top its stream up to ``DEPTH`` frames if the helper has a core."""
+        top its stream up to ``DEPTH`` frames."""
         with self._cond:
             self._tick += 1
             stream = self._streams.pop(id(rng), None)
@@ -334,7 +311,7 @@ class _LookAhead:
             stream.previous, stream.last = stream.last, self._tick
             if (stream.previous is None or stream.claimed
                     or len(stream.frames) >= self.DEPTH
-                    or not (self._has_core() and self._fits(shape))):
+                    or not self._fits(shape)):
                 return
             while len(stream.frames) < self.DEPTH:
                 noise = self._buffer(stream, stale_only=bool(stream.frames))
@@ -362,15 +339,6 @@ class _LookAhead:
         head = stream.frames[0]
         return (head.noise.shape == shape and stream.scale == scale
                 and _same_state(stream.rng.bit_generator.state, head.start))
-
-    def _has_core(self) -> bool:
-        """Whether the helper has a core: it is drawing already, or one
-        is idle."""
-        if any(frame.end is None and frame.error is None
-               for stream in self._streams.values()
-               for frame in stream.frames):
-            return True
-        return _core_idle(self._thread.native_id if self._thread else None)
 
     def _fits(self, shape: Tuple[int, ...]) -> bool:
         """Make the buffers ``shape``'s, dropping every frame of another
@@ -561,18 +529,21 @@ def render_screen(
 
     With ``noise_rng``, the frame gets the sensor noise of
     ``Canvas.add_noise`` (the same ``rng.normal`` values in the same
-    order).  The process's noise helper supplies it when it can: a frame
-    it drew ahead in the generator's stream, or one it draws while the
-    stack rasterises if it has a core; the rows it has not reached are
-    drawn here.  Otherwise the noise is drawn inline.  The
-    generator advances only when the noise is applied, so a raster that
-    raises leaves it untouched; an error from the draw itself is raised
-    here after the raster.
+    order).  In a process that may use two CPUs, the noise helper
+    supplies it when it can: a frame it drew ahead in the generator's
+    stream, or one it draws while the stack rasterises; the rows it has
+    not reached are drawn here.  Otherwise the noise is drawn inline,
+    and on one CPU the helper is never touched.  The generator advances
+    only when the noise is applied, so a raster that raises leaves it
+    untouched; an error from the draw itself is raised here after the
+    raster.
     """
     screen = wm.screen
     canvas = Canvas(screen.width, screen.height, background=_WALLPAPER)
-    if noise_rng is None:
+    if noise_rng is None or not _two_cpus():
         _rasterise(wm, canvas)
+        if noise_rng is not None:
+            canvas.add_noise(noise_rng, scale=noise_scale)
         return canvas
     shape = canvas.pixels.shape
     stream = _helper.claim(noise_rng, shape, noise_scale)

@@ -37,7 +37,8 @@ the same attribution as JSON — CI uploads it as the failure artifact.
 diagnostic, the gate is the gate.
 
 Exit codes (:mod:`repro.exits`): 0 = within tolerance, 1 = regression
-detected, 2 = usage error (missing/unreadable file, malformed rule),
+detected, 2 = usage error (missing/unreadable file, a payload that is
+not a JSON object, malformed rule or negative/non-finite tolerance),
 3 = provenance manifest mismatch (payloads are not comparable).
 """
 
@@ -45,6 +46,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 from fnmatch import fnmatchcase
@@ -169,6 +171,9 @@ def parse_rule(text: str) -> Rule:
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"bad rule {text!r}; expected PATTERN=rel:F or PATTERN=abs:F")
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(
+            f"bad rule {text!r}; the tolerance must be finite and >= 0")
     if kind == "rel":
         return Rule(pattern, rel=value)
     if kind == "abs":
@@ -179,7 +184,11 @@ def parse_rule(text: str) -> Rule:
 
 def _load(path: str) -> Dict:
     with open(path) as fp:
-        return json.load(fp)
+        payload = json.load(fp)
+    if not isinstance(payload, dict):
+        raise ValueError(f"expected a JSON object, not "
+                         f"{type(payload).__name__}")
+    return payload
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -260,12 +269,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         baseline = _load(args.baseline)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         return fail("regress", f"cannot read baseline {args.baseline}: "
                                f"{exc}")
     try:
         fresh = _load(args.fresh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         return fail("regress", f"cannot read fresh payload {args.fresh}: "
                                f"{exc}")
     # Profile blocks ride along for --explain but are never part of the

@@ -13,9 +13,10 @@ between renders, also while the helper is mid-block, never seen from
 outside a render, never queued for one-shot generators), generators
 interleaved in seeded schedules, the three shared frame buffers
 (sequential devices keep two frames ahead after a switch), the
-idle-core check, the inline path a render takes when no core is idle or
-another render owns its generator, the error paths, stub screenshots,
-and fork children of a process that has rendered.
+two-CPU rule (on one CPU, or without CPU affinity, no helper starts),
+the inline path a render takes when another render owns its generator,
+the error paths, stub screenshots, and fork children of a process that
+has rendered.
 """
 
 import multiprocessing
@@ -105,15 +106,11 @@ class _HoldStream:
             helper._streams[id(self.rng)].claimed = False
 
 
-#: The real idle-core check; the fixture below stands it in for the
-#: tests that need the helper whatever else the test process runs (a
-#: BLAS worker still spinning after an earlier test's GEMM, say).
-_REAL_CORE_IDLE = renderer._core_idle
-
-
 @pytest.fixture(autouse=True)
-def idle_core(monkeypatch):
-    monkeypatch.setattr(renderer, "_core_idle", lambda helper=None: True)
+def two_cpus(monkeypatch):
+    # The helper runs only in a process that may use two CPUs; make this
+    # one look so, whatever machine the tests run on.
+    monkeypatch.setattr(renderer.os, "sched_getaffinity", lambda pid: {0, 1})
     # A look-ahead left by an earlier test would still be drawing
     # through the names a test is about to patch.
     _reset_helper()
@@ -348,60 +345,55 @@ class TestHelperThread:
         assert device.rng.bit_generator.state == before
 
 
+def _assert_inline_without_helper(corpus, monkeypatch):
+    """Consecutive screenshots of one device generator (the look-ahead
+    case from its second on) and a one-shot render all draw inline: no
+    helper thread starts, no stream is recorded, and pixels and
+    generator state equal the reference."""
+    fresh = renderer._LookAhead()
+    monkeypatch.setattr(renderer, "_helper", fresh)
+    threads = _record_draw_threads(monkeypatch)
+    rng, ref_rng = np.random.default_rng(8), np.random.default_rng(8)
+    for state in _states(corpus)[:3]:
+        wm = _window_manager(state, overlays=1)
+        got = render_screen(wm, noise_rng=rng).pixels
+        assert np.array_equal(_bits(got), _bits(_reference(wm, ref_rng)))
+    assert _same_generator(rng, ref_rng)
+    wm = _window_manager(corpus.samples[1].screen)
+    got = render_screen(wm, noise_rng=np.random.default_rng(9)).pixels
+    want = _reference(wm, np.random.default_rng(9))
+    assert np.array_equal(_bits(got), _bits(want))
+    assert threads == {threading.current_thread()}
+    assert fresh._thread is None and fresh._streams == {}
+
+
 class TestIdleCoreCheck:
-    def test_calling_thread_fills_a_single_cpu(self, monkeypatch):
+    """The helper is used if and only if the process may run on two
+    CPUs or more."""
+
+    def test_calling_thread_fills_a_single_cpu(self, corpus, monkeypatch):
         monkeypatch.setattr(renderer.os, "sched_getaffinity", lambda pid: {0})
-        assert _REAL_CORE_IDLE() is False
-        monkeypatch.setattr(renderer.os, "sched_getaffinity",
-                            lambda pid: set(range(4096)))
-        assert _REAL_CORE_IDLE() is True
+        _assert_inline_without_helper(corpus, monkeypatch)
 
-    def test_running_and_sleeping_threads(self):
-        assert renderer._thread_running(str(threading.get_native_id()))
-        release = threading.Event()
-        sleeper = threading.Thread(target=release.wait, args=(60,))
-        sleeper.start()
-        try:
-            tid = str(sleeper.native_id)
-            for _ in range(1000):
-                if not renderer._thread_running(tid):
-                    break
-                release.wait(0.01)
-            assert not renderer._thread_running(tid)
-        finally:
-            release.set()
-            sleeper.join(timeout=60)
-        assert not sleeper.is_alive()
-        # A thread that has exited is not running.  join() returns before
-        # the thread's exit path has run, so wait until the kernel has
-        # dropped the task.
-        for _ in range(1000):
-            if not os.path.exists(f"/proc/self/task/{tid}"):
-                break
-            time.sleep(0.01)
-        assert not renderer._thread_running(tid)
-
-    def test_the_helper_is_its_own_core(self, monkeypatch):
-        # Every thread running and as many CPUs as threads: no core is
-        # idle, unless one of the threads is the helper itself.
-        tids = os.listdir("/proc/self/task")
-        monkeypatch.setattr(renderer, "_thread_running", lambda tid: True)
-        monkeypatch.setattr(renderer.os, "sched_getaffinity",
-                            lambda pid: set(range(len(tids))))
-        assert _REAL_CORE_IDLE() is False
-        assert _REAL_CORE_IDLE(int(tids[-1])) is True
-
-    def test_without_cpu_affinity_no_core_is_idle(self, monkeypatch):
+    def test_without_cpu_affinity_no_core_is_idle(self, corpus,
+                                                   monkeypatch):
         monkeypatch.delattr(renderer.os, "sched_getaffinity")
-        assert _REAL_CORE_IDLE() is False
+        _assert_inline_without_helper(corpus, monkeypatch)
 
     def test_no_idle_core_draws_inline(self, corpus, monkeypatch):
-        monkeypatch.setattr(renderer, "_core_idle", lambda helper=None: False)
+        # Pinned to one CPU that is not CPU 0 (``taskset -c 1``); with a
+        # second CPU the same render takes the process's helper.
+        shared = renderer._helper
+        monkeypatch.setattr(renderer.os, "sched_getaffinity", lambda pid: {1})
+        _assert_inline_without_helper(corpus, monkeypatch)
+        monkeypatch.setattr(renderer, "_helper", shared)
+        monkeypatch.setattr(renderer.os, "sched_getaffinity",
+                            lambda pid: {1, 3})
         threads = _record_draw_threads(monkeypatch)
         wm = _window_manager(corpus.samples[1].screen)
-        rng, ref_rng = np.random.default_rng(8), np.random.default_rng(8)
+        rng, ref_rng = np.random.default_rng(7), np.random.default_rng(7)
         got = render_screen(wm, noise_rng=rng).pixels
-        assert threads == {threading.current_thread()}
+        assert any(t.name == "render-noise" for t in threads)
         assert np.array_equal(_bits(got), _bits(_reference(wm, ref_rng)))
         assert _same_generator(rng, ref_rng)
         assert _nothing_queued()
@@ -421,9 +413,9 @@ class TestOwnedGeneratorDrawsInline:
 
     def test_a_busy_helper_takes_another_generators_frame(self, corpus,
                                                           monkeypatch):
-        # The helper is held in a block of one generator's look-ahead and
-        # no core counts as idle: another generator's render still queues
-        # its current frame on the helper instead of drawing inline.
+        # The helper is held in a block of one generator's look-ahead:
+        # another generator's render still queues its current frame on
+        # the helper instead of drawing inline.
         started, release = TestLookAhead._hold_look_ahead(monkeypatch)
         inline = []
         real_add = canvas_module.Canvas.add_noise
@@ -439,8 +431,6 @@ class TestOwnedGeneratorDrawsInline:
             for _ in range(2):
                 render_screen(wm, noise_rng=device)
             assert started.wait(timeout=60)
-            monkeypatch.setattr(renderer, "_core_idle",
-                                lambda helper=None: False)
             rng, ref_rng = np.random.default_rng(41), np.random.default_rng(41)
             claims = []
             real_claim = renderer._LookAhead.claim

@@ -1,5 +1,6 @@
 """Tests for repro.bench.regress: the benchmark regression gate."""
 
+import argparse
 import json
 from pathlib import Path
 
@@ -99,6 +100,26 @@ class TestMain:
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
         assert main(["--baseline", good, "--fresh", str(bad)]) == 2
+
+    @pytest.mark.parametrize("bad", ["a=rel:-0.1", "a=abs:-1", "a=rel:nan",
+                                     "a=abs:inf", "a=rel:-inf"])
+    def test_negative_or_non_finite_tolerance_is_a_usage_error(self, bad,
+                                                               tmp_path):
+        # max(0, x) would read such a rule as exact match.
+        with pytest.raises(argparse.ArgumentTypeError, match="finite"):
+            parse_rule(bad)
+        path = write(tmp_path, "base.json", {"a": 1.0})
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--baseline", path, "--fresh", path, "--rule", bad])
+        assert exit_info.value.code == 2
+
+    @pytest.mark.parametrize("payload", [[1, 2], 3, "x", None])
+    def test_non_object_payload_exits_two(self, tmp_path, payload, capsys):
+        good = write(tmp_path, "base.json", {"a": 1})
+        odd = write(tmp_path, "odd.json", payload)
+        assert main(["--baseline", odd, "--fresh", good]) == 2
+        assert "expected a JSON object" in capsys.readouterr().err
+        assert main(["--baseline", good, "--fresh", odd]) == 2
 
     def test_committed_slo_baseline_self_compares_clean(self):
         baseline = REPO_ROOT / "BENCH_slo.json"
