@@ -32,10 +32,7 @@ RCNN_TRAIN_SIZE = 240
 def _mean_latency_ms(detector, dataset, n=30):
     watch = Stopwatch()
     for i in range(min(n, len(dataset))):
-        if hasattr(detector, "last_inference_ms"):
-            detector.detect_screen(dataset.screen_images[i])
-        else:
-            detector.detect_screen(dataset.screen_images[i], refine=True)
+        detector.detect_screen(dataset.screen_images[i])
     return watch.elapsed_ms() / min(n, len(dataset))
 
 

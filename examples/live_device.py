@@ -68,7 +68,7 @@ class Oracle:
         self.device = device
         self.app = app
 
-    def detect_screen(self, screen_image, refine=True, conf_threshold=None):
+    def detect_screen(self, screen_image, conf_threshold=None):
         state = self.app.current
         if state is None or not state.is_aui:
             return []

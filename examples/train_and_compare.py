@@ -21,15 +21,12 @@ from repro.vision import (
 from repro.vision.rcnn import RcnnConfig, RcnnDetector
 
 
-def evaluate(detector, dataset, is_yolo):
+def evaluate(detector, dataset):
     evaluator = DetectionEvaluator(iou_threshold=0.9)
     start = time.perf_counter()
     for i in range(len(dataset)):
-        if is_yolo:
-            dets = detector.detect_screen(dataset.screen_images[i],
-                                          conf_threshold=0.4)
-        else:
-            dets = detector.detect_screen(dataset.screen_images[i])
+        dets = detector.detect_screen(dataset.screen_images[i],
+                                      conf_threshold=0.4)
         evaluator.add_image(dets, dataset.screen_labels[i])
     latency = (time.perf_counter() - start) * 1000 / len(dataset)
     return evaluator.result(), latency
@@ -62,9 +59,9 @@ def main() -> None:
     header = f"{'model':<24} {'P':>6} {'R':>6} {'F1':>6} {'ms/frame':>9}"
     print(header)
     print("-" * len(header))
-    for name, det, is_yolo in (("TinyYOLO (ours)", yolo, True),
-                               ("Mask RCNN+ResNet50", rcnn, False)):
-        result, latency = evaluate(det, test, is_yolo)
+    for name, det in (("TinyYOLO (ours)", yolo),
+                      ("Mask RCNN+ResNet50", rcnn)):
+        result, latency = evaluate(det, test)
         p, r, f = result.row("All")
         print(f"{name:<24} {p:>6.3f} {r:>6.3f} {f:>6.3f} {latency:>9.0f}")
     print("\nNote: at this miniature training budget the sample-efficient "

@@ -5,8 +5,8 @@ performance meter.  The meter converts *counted work* — accessibility
 events delivered, screenshots taken, model inferences run, decorations
 drawn — into the CPU/memory/frame-rate/power figures of the paper's
 Tables VII and VIII through one set of declared calibration constants
-(:class:`DeviceProfile`).  Nothing in the overhead tables is hard-coded;
-changing the workload changes the numbers.
+(:class:`DeviceProfile`), held once in :data:`PROFILE`.  Nothing in the
+overhead tables is hard-coded; changing the workload changes the numbers.
 """
 
 from __future__ import annotations
@@ -91,6 +91,11 @@ class DeviceProfile:
     fps_decoration_penalty: float = 0.012
 
 
+#: The one cost model.  The meter, the tracer and every span reader look
+#: it up here at call time; none of them takes a profile of its own.
+PROFILE = DeviceProfile()
+
+
 @dataclass
 class PerfReport:
     """Averaged SoloPi-style metrics over one measured run."""
@@ -114,8 +119,7 @@ class PerfMeter:
     so an unobserved meter costs one predicate per call.
     """
 
-    def __init__(self, profile: DeviceProfile):
-        self.profile = profile
+    def __init__(self):
         self._counts: Dict[PerfOp, int] = {op: 0 for op in PerfOp}
         self._components: set = set()
         self._on_record: Optional[Callable[[PerfOp, int], None]] = None
@@ -170,7 +174,7 @@ class PerfMeter:
         """Averaged metrics over a run of ``duration_ms``."""
         if duration_ms <= 0:
             raise ValueError("duration must be positive")
-        p = self.profile
+        p = PROFILE
         seconds = duration_ms / 1000.0
 
         cpu_ms = (
@@ -227,14 +231,13 @@ class Device:
     def __init__(
         self,
         screen: Optional[Screen] = None,
-        profile: Optional[DeviceProfile] = None,
         api_level: int = DEFAULT_API_LEVEL,
         seed: int = 0,
     ):
         self.screen = screen or Screen()
         self.clock = SimulatedClock()
         self.window_manager = WindowManager(self.screen)
-        self.perf = PerfMeter(profile or DeviceProfile())
+        self.perf = PerfMeter()
         self.api_level = api_level
         self.rng = np.random.default_rng(seed)
         self._listeners: List[Tuple[int, Callable[[AccessibilityEvent], None]]] = []

@@ -296,13 +296,10 @@ class FaultyDetector:
         self.last_detect_ms: float = 0.0
         self.calls = 0
 
-    def detect_screen(self, screen_image, refine: bool = True,
+    def detect_screen(self, screen_image,
                       conf_threshold: Optional[float] = None):
         self.calls += 1
         self.injector.check_detector()
         self.last_detect_ms = self.injector.detector_latency_ms()
-        try:
-            return self.inner.detect_screen(
-                screen_image, refine=refine, conf_threshold=conf_threshold)
-        except TypeError:  # RCNN-style detectors take only the image
-            return self.inner.detect_screen(screen_image)
+        return self.inner.detect_screen(screen_image,
+                                        conf_threshold=conf_threshold)

@@ -144,7 +144,7 @@ class FraudDroidScreenDetector:
         #: attach it to ``fallback`` spans.
         self.last_node_count = 0
 
-    def detect_screen(self, screen_image, refine: bool = True,
+    def detect_screen(self, screen_image,
                       conf_threshold: Optional[float] = None
                       ) -> List[ScoredBox]:
         top = self.device.window_manager.top_app_window()

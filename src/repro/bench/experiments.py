@@ -113,7 +113,6 @@ def evaluate_detector(
     detector,
     dataset: DetectionDataset,
     conf_threshold: float = DEFAULT_CONF_THRESHOLD,
-    refine: bool = True,
     iou_threshold: float = 0.9,
     batch_size: int = 32,
 ) -> EvalResult:
@@ -128,21 +127,14 @@ def evaluate_detector(
         for start in range(0, len(dataset), batch_size):
             images = dataset.screen_images[start:start + batch_size]
             for offset, dets in enumerate(detector.detect_screens(
-                    images, refine=refine, conf_threshold=conf_threshold)):
+                    images, conf_threshold=conf_threshold)):
                 evaluator.add_image(dets, dataset.screen_labels[start + offset])
         return evaluator.result()
     for i in range(len(dataset)):
-        if hasattr(detector, "detect_screen"):
-            try:
-                dets = detector.detect_screen(
-                    dataset.screen_images[i], refine=refine,
-                    conf_threshold=conf_threshold,
-                )
-            except TypeError:  # RCNN detectors take only the image
-                dets = detector.detect_screen(dataset.screen_images[i])
-        else:
-            raise TypeError(f"{detector!r} has no detect_screen")
-        evaluator.add_image(dets, dataset.screen_labels[i])
+        evaluator.add_image(
+            detector.detect_screen(dataset.screen_images[i],
+                                   conf_threshold=conf_threshold),
+            dataset.screen_labels[i])
     return evaluator.result()
 
 
@@ -331,7 +323,7 @@ def storm_fault_plan(seed: int = 0) -> FaultPlan:
 class _NullDetector:
     """Detector stand-in for the monitoring-only overhead mode."""
 
-    def detect_screen(self, screen_image, refine=True, conf_threshold=None):
+    def detect_screen(self, screen_image, conf_threshold=None):
         return []
 
 
@@ -347,7 +339,7 @@ class OracleDetector:
         self.device = device
         self.app = app
 
-    def detect_screen(self, screen_image, refine=True, conf_threshold=None):
+    def detect_screen(self, screen_image, conf_threshold=None):
         from repro.geometry.nms import ScoredBox
         state = self.app.current
         if state is None or not state.is_aui:

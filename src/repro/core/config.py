@@ -38,8 +38,6 @@ class DarpaConfig:
     #: verdict (decorations still draw every detection above
     #: ``conf_threshold``; only the flag/bypass decision uses this).
     flag_threshold: float = 0.85
-    #: Run classical box refinement on detections.
-    refine_boxes: bool = True
     #: Draw decoration overlays (off = detect-and-log only, used by the
     #: overhead decomposition of Table VII).
     decorate: bool = True
@@ -79,16 +77,12 @@ class DarpaConfig:
     #: analysis whose detector reports a longer ``last_detect_ms`` is
     #: abandoned (counted as ``deadline_skips``).  0 disables.
     deadline_ms: float = 0.0
-    #: Seed of the retry-jitter stream (independent of the device RNG).
-    resilience_seed: int = 0
     #: Serve every analysis from the FraudDroid heuristic, skipping the
     #: cache and the CNN entirely.  This is the daemon's load-shedding
     #: lever (:mod:`repro.core.daemon`): a session whose screens cannot
     #: make the reaction budget through the inference queue degrades
     #: instead of being dropped.  Requires ``fallback_to_heuristic``.
     force_degraded: bool = False
-
-    style: DecorationStyle = field(default_factory=DecorationStyle)
 
     def __post_init__(self) -> None:
         if self.ct_ms < 0:

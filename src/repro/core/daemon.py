@@ -387,10 +387,10 @@ class _CoalescingProxy:
     def __init__(self, slot: _Slot):
         self._slot = slot
 
-    def detect_screen(self, screen_image, refine: bool = True,
+    def detect_screen(self, screen_image,
                       conf_threshold: Optional[float] = None):
         slot = self._slot
-        slot.request = (screen_image, refine, conf_threshold)
+        slot.request = (screen_image, conf_threshold)
         slot.yielded.set()
         slot.resume.wait()
         slot.resume.clear()
@@ -469,13 +469,12 @@ class CoalescingCoordinator:
                      pending: Sequence[int]) -> None:
         requests = [slots[i].request for i in pending]
         images = [req[0] for req in requests]
-        refine, conf = requests[0][1], requests[0][2]
-        if any((req[1], req[2]) != (refine, conf) for req in requests):
+        conf = requests[0][1]
+        if any(req[1] != conf for req in requests):
             raise ValueError(
-                "cannot coalesce inferences with mismatched refine/"
-                "conf_threshold settings")
-        batched = self.detector.detect_screens(
-            images, refine=refine, conf_threshold=conf)
+                "cannot coalesce inferences with mismatched conf_threshold "
+                "settings")
+        batched = self.detector.detect_screens(images, conf_threshold=conf)
         self.occupancies.append(len(pending))
         for i, detections in zip(pending, batched):
             slots[i].request = None

@@ -55,7 +55,8 @@ from typing import (
 )
 
 from repro.android.clock import SimulatedClock
-from repro.android.device import DeviceProfile, PerfMeter, PerfOp, PerfReport
+from repro.android import device as _device
+from repro.android.device import PerfMeter, PerfOp, PerfReport
 
 # ---------------------------------------------------------------------------
 # Metric naming scheme (see DESIGN.md "Observability"):
@@ -84,8 +85,9 @@ DROPPED_SPANS_COUNTER = "darpa.trace.dropped_spans"
 OVERHEAD_STEP = "overhead"
 
 
-def op_cpu_ms(profile: DeviceProfile) -> Dict[str, float]:
+def op_cpu_ms() -> Dict[str, float]:
     """CPU-ms charged per unit of each billable operation."""
+    profile = _device.PROFILE
     return {
         PerfOp.EVENT_DELIVERED.value: profile.event_cpu_ms,
         PerfOp.SCREENSHOT.value: profile.screenshot_cpu_ms,
@@ -286,9 +288,9 @@ class Span:
         key = op.value
         self.ops[key] = self.ops.get(key, 0) + n
 
-    def cpu_ms(self, profile: DeviceProfile) -> float:
+    def cpu_ms(self) -> float:
         """Cost-model CPU attributed directly to this span (not children)."""
-        return ops_cpu_ms(self.ops, op_cpu_ms(profile))
+        return ops_cpu_ms(self.ops, op_cpu_ms())
 
     def to_dict(self) -> Dict[str, object]:
         return {
@@ -391,7 +393,9 @@ class Tracer:
         self.components: List[str] = []
         self._stack: List[Span] = []
         self._seq = 0
-        self._profile: Optional[DeviceProfile] = None
+        #: Set by :meth:`observe_perf`; until then the stage histograms
+        #: record every span at 0.0 cost-model CPU.
+        self._observing = False
 
     # -- span lifecycle -------------------------------------------------
 
@@ -486,8 +490,7 @@ class Tracer:
         self.finished.append(span)
         if self.registry is not None:
             self.registry.counter(f"darpa.stage.{span.name}.count").inc()
-            cpu = (span.cpu_ms(self._profile)
-                   if self._profile is not None else 0.0)
+            cpu = span.cpu_ms() if self._observing else 0.0
             self.registry.histogram(
                 f"darpa.stage.{span.name}.cpu_ms").observe(cpu)
 
@@ -495,7 +498,7 @@ class Tracer:
 
     def observe_perf(self, meter: PerfMeter) -> None:
         """Mirror every cost-model charge of ``meter`` into spans."""
-        self._profile = meter.profile
+        self._observing = True
         meter.set_observers(
             on_record=self._on_perf_record,
             on_component=self._on_perf_component,
@@ -617,8 +620,7 @@ def ops_from_spans(spans: Iterable[Dict[str, object]]) -> Dict[str, int]:
     return totals
 
 
-def stage_cpu_ms(spans: Iterable[Dict[str, object]],
-                 profile: Optional[DeviceProfile] = None) -> Dict[str, float]:
+def stage_cpu_ms(spans: Iterable[Dict[str, object]]) -> Dict[str, float]:
     """Per-stage attributed cost-model CPU, keyed by span name.
 
     On a **truncated** dump (ring-buffer evictions mid-session) this is
@@ -627,7 +629,7 @@ def stage_cpu_ms(spans: Iterable[Dict[str, object]],
     over-counts, and the tracer's ``dropped`` counter says how many
     spans are missing.  ``tests/core`` pins this behavior.
     """
-    index = SpanIndex.build(spans, profile)
+    index = SpanIndex.build(spans)
     out: Dict[str, float] = {}
     for span, cpu in zip(index.spans, index.cpu_ms):
         name = str(span["name"])
@@ -666,10 +668,9 @@ class SpanIndex:
     children: Mapping[int, Tuple[int, ...]]
 
     @classmethod
-    def build(cls, spans: Iterable[Mapping[str, object]],
-              profile: Optional[DeviceProfile] = None) -> "SpanIndex":
+    def build(cls, spans: Iterable[Mapping[str, object]]) -> "SpanIndex":
         records = tuple(spans)
-        costs = op_cpu_ms(profile or DeviceProfile())
+        costs = op_cpu_ms()
         try:
             cpu = tuple(ops_cpu_ms(span.get("ops", {}), costs)  # type: ignore[arg-type]
                         for span in records)
@@ -720,7 +721,6 @@ class SpanIndex:
 def report_from_spans(
     spans: Sequence[Dict[str, object]],
     duration_ms: Optional[float] = None,
-    profile: Optional[DeviceProfile] = None,
 ) -> PerfReport:
     """Rebuild a :class:`PerfReport` purely from an exported span dump.
 
@@ -746,7 +746,7 @@ def report_from_spans(
         if root["end_ms"] is None:
             raise ValueError("session root span was never closed")
         duration_ms = float(root["end_ms"]) - float(root["start_ms"])  # type: ignore[arg-type]
-    meter = PerfMeter(profile or DeviceProfile())
+    meter = PerfMeter()
     for name in root.get("attributes", {}).get("components", ()):  # type: ignore[union-attr]
         meter.enable_component(str(name))
     for op, n in ops_from_spans(spans).items():

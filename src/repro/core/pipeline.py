@@ -7,7 +7,7 @@ Life-cycle per settled screen:
     (or auto-bypass the UPO)
 
 The service is detector-agnostic: anything exposing
-``detect_screen(image, refine=..., conf_threshold=...) -> [ScoredBox]``
+``detect_screen(image, conf_threshold=None) -> [ScoredBox]``
 plugs in, which is how the benchmarks swap the server model, the ported
 model, and test fakes through one pipeline.
 
@@ -38,6 +38,7 @@ import numpy as np
 
 from repro.geometry.nms import ScoredBox
 from repro.android.accessibility import AccessibilityService
+from repro.android import device as _device
 from repro.android.device import Device, PerfOp
 from repro.android.events import AccessibilityEvent, TYPES_ALL_MASK
 from repro.android.faults import ScreenshotFailedError
@@ -63,7 +64,7 @@ _BREAKER_GAUGE = {BreakerState.CLOSED: 0, BreakerState.HALF_OPEN: 1,
 class Detector(Protocol):
     """Anything that can find AUI options on a screenshot."""
 
-    def detect_screen(self, screen_image: np.ndarray, refine: bool = True,
+    def detect_screen(self, screen_image: np.ndarray,
                       conf_threshold: Optional[float] = None
                       ) -> List[ScoredBox]: ...
 
@@ -254,7 +255,7 @@ class DarpaService:
         self.config = config or DarpaConfig()
         self.policy = policy or ScreenshotPolicy()
         self.service = AccessibilityService(device, event_mask=TYPES_ALL_MASK)
-        self.decorator = ViewDecorator(self.service, style=self.config.style)
+        self.decorator = ViewDecorator(self.service)
         self.debouncer = CutoffDebouncer(
             device.clock, self.config.ct_ms, self._on_settled
         )
@@ -298,7 +299,8 @@ class DarpaService:
         self._fallback: Optional[FraudDroidScreenDetector] = None
         if self.config.fallback_to_heuristic:
             self._fallback = FraudDroidScreenDetector(device)
-        self._retry_rng = np.random.default_rng(self.config.resilience_seed)
+        # The retry-jitter stream, independent of the device RNG.
+        self._retry_rng = np.random.default_rng(0)
         self._retry_timer: Optional[int] = None
         self._running = False
 
@@ -541,9 +543,7 @@ class DarpaService:
                         try:
                             detections = self.detector.detect_screen(
                                 shot.pixels,
-                                refine=self.config.refine_boxes,
-                                conf_threshold=self.config.conf_threshold,
-                            )
+                                conf_threshold=self.config.conf_threshold)
                         finally:
                             self._detach_profiler()
                     except Exception:
@@ -562,7 +562,7 @@ class DarpaService:
                         if profiler is not None and profiler.steps:
                             tracer.annotate(
                                 i_span, plan_ops=profiler.attribute(
-                                    self.device.perf.profile.inference_cpu_ms))
+                                    _device.PROFILE.inference_cpu_ms))
                         if (self.config.deadline_ms
                                 and elapsed > self.config.deadline_ms):
                             # Over budget: by the time this inference
@@ -586,10 +586,7 @@ class DarpaService:
         if self._fallback is not None:
             with tracer.span("fallback") as f_span:
                 detections = self._fallback.detect_screen(
-                    shot.pixels,
-                    refine=self.config.refine_boxes,
-                    conf_threshold=self.config.conf_threshold,
-                )
+                    shot.pixels, conf_threshold=self.config.conf_threshold)
                 self.device.perf.record(PerfOp.FALLBACK_INFERENCE)
                 self.stats.fallback_detections += 1
                 tracer.annotate(f_span,

@@ -39,7 +39,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from repro.android.device import DeviceProfile
+from repro.android import device as _device
 from repro.core.observability import SpanIndex
 
 #: Default relative accuracy of the log buckets (DDSketch alpha).
@@ -229,7 +229,6 @@ class QuantileSketch:
 
 def sketches_from_spans(
     spans: Sequence[Mapping[str, object]],
-    profile: Optional[DeviceProfile] = None,
     session: int = 0,
     alpha: float = DEFAULT_ALPHA,
 ) -> Dict[str, QuantileSketch]:
@@ -246,7 +245,7 @@ def sketches_from_spans(
     Exemplars carry ``(session, span_id, trace_id)`` so a hot bucket
     points straight back into the span JSONL.
     """
-    return sketches_from_index(SpanIndex.build(spans, profile),
+    return sketches_from_index(SpanIndex.build(spans),
                                session=session, alpha=alpha)
 
 
@@ -344,27 +343,24 @@ class SessionTelemetry:
 
     @classmethod
     def from_result(cls, session: int, result,
-                    profile: Optional[DeviceProfile] = None,
                     alpha: float = DEFAULT_ALPHA) -> "SessionTelemetry":
         """Derive telemetry from a traced :class:`SessionResult`."""
         if result.spans is None:
             raise ValueError(
                 "telemetry needs a traced session (run with trace=True)")
         return cls(session=session,
-                   sketches=sketches_from_spans(result.spans, profile=profile,
-                                                session=session, alpha=alpha),
+                   sketches=sketches_from_spans(result.spans, session=session,
+                                                alpha=alpha),
                    counters=counters_from_metrics(result.metrics))
 
 
 def session_telemetries(
     results: Sequence,
-    profile: Optional[DeviceProfile] = None,
     start_index: int = 0,
     alpha: float = DEFAULT_ALPHA,
 ) -> List[SessionTelemetry]:
     """Per-session telemetry for a traced fleet, in fleet order."""
-    return [SessionTelemetry.from_result(start_index + i, r, profile=profile,
-                                         alpha=alpha)
+    return [SessionTelemetry.from_result(start_index + i, r, alpha=alpha)
             for i, r in enumerate(results)]
 
 
@@ -407,12 +403,11 @@ class FleetTelemetry:
 
     @classmethod
     def from_results(cls, results: Sequence,
-                     profile: Optional[DeviceProfile] = None,
                      start_index: int = 0,
                      alpha: float = DEFAULT_ALPHA) -> "FleetTelemetry":
         return cls.from_sessions(
-            session_telemetries(results, profile=profile,
-                                start_index=start_index, alpha=alpha),
+            session_telemetries(results, start_index=start_index,
+                                alpha=alpha),
             alpha=alpha)
 
     def merge(self, other: "FleetTelemetry") -> "FleetTelemetry":
@@ -642,22 +637,23 @@ class SloSpec:
         return bad, total
 
 
-def default_slos(ct_ms: float = 200.0,
-                 profile: Optional[DeviceProfile] = None,
-                 ) -> Tuple[SloSpec, ...]:
-    """The stock objectives of a DARPA fleet at cut-off ``ct_ms``.
+def reaction_budget_ms(ct_ms: float) -> float:
+    """The reaction budget at cut-off ``ct_ms``: the paper's
+    deployability argument in SLO form.  A settled screen must be
+    analyzed within the debounce cut-off plus the screenshot + inference
+    cost model (with a small slack for cache probes / decoration
+    drawing)."""
+    profile = _device.PROFILE
+    return (float(ct_ms) + profile.screenshot_cpu_ms
+            + profile.inference_cpu_ms + REACTION_SLACK_MS)
 
-    The reaction budget is the paper's deployability argument in SLO
-    form: a settled screen must be analyzed within the debounce cut-off
-    plus the screenshot + inference cost model (with a small slack for
-    cache probes / decoration drawing).
-    """
-    profile = profile or DeviceProfile()
-    reaction_budget_ms = (ct_ms + profile.screenshot_cpu_ms
-                          + profile.inference_cpu_ms + REACTION_SLACK_MS)
+
+def default_slos(ct_ms: float = 200.0) -> Tuple[SloSpec, ...]:
+    """The stock objectives of a DARPA fleet at cut-off ``ct_ms``."""
     return (
         SloSpec(name="reaction_p95", objective=0.95, kind="quantile",
-                sketch=REACTION_SKETCH, threshold_ms=reaction_budget_ms),
+                sketch=REACTION_SKETCH,
+                threshold_ms=reaction_budget_ms(ct_ms)),
         SloSpec(name="decoration_success", objective=0.999, kind="ratio",
                 bad_counter="overlay_rejections",
                 total_counters=("decorations_drawn", "overlay_rejections")),

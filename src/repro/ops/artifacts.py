@@ -15,15 +15,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence, Tuple
 
-from repro.android.device import DeviceProfile
 from repro.core.observability import SpanIndex
 from repro.core.telemetry import (
     FleetTelemetry,
-    REACTION_SLACK_MS,
     SessionTelemetry,
     SloEngine,
     counters_from_metrics,
     default_slos,
+    reaction_budget_ms,
     sketches_from_index,
 )
 from repro.profiling import Profile
@@ -128,7 +127,6 @@ def _build_trace(session: int, index: SpanIndex) -> SessionTrace:
 def load_run(
     run_dir: str,
     ct_ms: float = 200.0,
-    profile: Optional[DeviceProfile] = None,
     names: Optional[Sequence[str]] = None,
 ) -> RunModel:
     """Load a run directory into a :class:`RunModel`.
@@ -139,7 +137,6 @@ def load_run(
     the directory is unreadable, holds no recognizable artifacts, or
     any artifact in it is malformed.
     """
-    profile = profile or DeviceProfile()
     run = RunListing.scan(run_dir, names)
     if not run.recognized():
         raise RunDirectoryError(
@@ -151,8 +148,8 @@ def load_run(
     metrics_by_session = run.metrics()
     sessions = tuple(sorted(spans_by_session))
     try:
-        indexes = {session: SpanIndex.build(spans_by_session[session],
-                                            profile) for session in sessions}
+        indexes = {session: SpanIndex.build(spans_by_session[session])
+                   for session in sessions}
     except ValueError as exc:
         raise RunDirectoryError(f"{run_dir}: malformed span dump ({exc})")
     traces = {session: _build_trace(session, indexes[session])
@@ -181,7 +178,7 @@ def load_run(
             for session in sessions
         ]
         if slo is None:
-            engine = SloEngine(default_slos(ct_ms=ct_ms, profile=profile))
+            engine = SloEngine(default_slos(ct_ms=ct_ms))
             slo = engine.evaluate(series).to_dict()
         if not run.artifacts("telemetry"):
             for telemetry in series:
@@ -189,8 +186,7 @@ def load_run(
 
     return RunModel(
         ct_ms=float(ct_ms),
-        reaction_budget_ms=(float(ct_ms) + profile.screenshot_cpu_ms
-                            + profile.inference_cpu_ms + REACTION_SLACK_MS),
+        reaction_budget_ms=reaction_budget_ms(ct_ms),
         fleet=fleet,
         sessions=sessions,
         traces=traces,

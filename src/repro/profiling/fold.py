@@ -18,9 +18,8 @@ profile always says how complete it is.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Mapping
 
-from repro.android.device import DeviceProfile
 from repro.core.observability import DROPPED_SPANS_COUNTER, SpanIndex
 from repro.profiling.profile import Profile, STACK_SEP
 
@@ -49,7 +48,6 @@ def dropped_from_metrics(snapshot: Mapping[str, object]) -> int:
 
 def profile_from_spans(
     spans: Iterable[Mapping[str, object]],
-    profile: Optional[DeviceProfile] = None,
     dropped_spans: int = 0,
 ) -> Profile:
     """Fold one session's exported span dump into a Profile.
@@ -60,7 +58,7 @@ def profile_from_spans(
     whose parent chain breaks (parent evicted before export) are rooted
     at the nearest surviving ancestor and counted as orphans.
     """
-    return profile_from_index(SpanIndex.build(spans, profile),
+    return profile_from_index(SpanIndex.build(spans),
                               dropped_spans=dropped_spans)
 
 
@@ -107,21 +105,18 @@ def profile_from_sessions(
     return out
 
 
-def profile_from_result(result, profile: Optional[DeviceProfile] = None
-                        ) -> Profile:
+def profile_from_result(result) -> Profile:
     """Fold one :class:`SessionResult` (spans + metrics) into a Profile."""
     metrics = result.metrics if isinstance(result.metrics, Mapping) else {}
     return profile_from_spans(
-        result.spans or (), profile=profile,
-        dropped_spans=dropped_from_metrics(metrics))
+        result.spans or (), dropped_spans=dropped_from_metrics(metrics))
 
 
-def profile_from_results(results, profile: Optional[DeviceProfile] = None
-                         ) -> Profile:
+def profile_from_results(results) -> Profile:
     """Fold a whole fleet's results; order-free by the merge algebra."""
     out = Profile()
     for result in results:
-        out.merge(profile_from_result(result, profile=profile))
+        out.merge(profile_from_result(result))
     return out
 
 

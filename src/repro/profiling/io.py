@@ -13,9 +13,8 @@ the directory listing enumerated the shard parts.
 from __future__ import annotations
 
 import os
-from typing import Dict, List, Mapping, Optional
+from typing import Dict, List, Mapping
 
-from repro.android.device import DeviceProfile
 from repro.core.observability import SpanIndex
 from repro.profiling.fold import profile_from_sessions
 from repro.profiling.profile import PROFILE_KEY, Profile
@@ -36,18 +35,16 @@ def _profile_from_payload(payload: Mapping[str, object]) -> Profile:
 
 
 def _fold(spans: Dict[int, List[Dict[str, object]]],
-          metrics: Mapping[int, Mapping[str, object]],
-          device_profile: Optional[DeviceProfile]) -> Profile:
+          metrics: Mapping[int, Mapping[str, object]]) -> Profile:
     try:
-        indexes = {session: SpanIndex.build(spans[session], device_profile)
+        indexes = {session: SpanIndex.build(spans[session])
                    for session in spans}
     except ValueError as exc:
         raise ProfileSourceError(f"malformed span dump ({exc})")
     return profile_from_sessions(indexes, metrics)
 
 
-def load_profile(source: str,
-                 device_profile: Optional[DeviceProfile] = None) -> Profile:
+def load_profile(source: str) -> Profile:
     """Load a Profile from a run directory, JSON document, or span JSONL."""
     if os.path.isdir(source):
         run = RunListing.scan(source)
@@ -57,9 +54,9 @@ def load_profile(source: str,
         if not run.artifacts("trace"):
             raise ProfileSourceError(
                 f"no profile or trace artifacts in {source}")
-        return _fold(run.spans(), run.metrics(), device_profile)
+        return _fold(run.spans(), run.metrics())
     if source.endswith(".jsonl"):
-        return _fold(read_spans([source]), {}, device_profile)
+        return _fold(read_spans([source]), {})
     return read_json(source, _profile_from_payload)  # type: ignore[return-value]
 
 

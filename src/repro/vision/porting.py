@@ -105,15 +105,15 @@ class MobilePort:
 
     # -- inference (same API as TinyYolo) --------------------------------
 
-    def detect_screen(self, screen_image: np.ndarray, refine: bool = True,
+    def detect_screen(self, screen_image: np.ndarray,
                       conf_threshold: Optional[float] = None) -> List[Detection]:
-        return self._model.detect_screen(screen_image, refine=refine,
+        return self._model.detect_screen(screen_image,
                                          conf_threshold=conf_threshold)
 
-    def detect_screens(self, screen_images, refine: bool = True,
+    def detect_screens(self, screen_images,
                        conf_threshold: Optional[float] = None):
         """Batched screen-space inference (see TinyYolo.detect_screens)."""
-        return self._model.detect_screens(screen_images, refine=refine,
+        return self._model.detect_screens(screen_images,
                                           conf_threshold=conf_threshold)
 
     def detect_batch(self, images: np.ndarray,

@@ -304,7 +304,12 @@ class RcnnDetector:
 
     # -- inference ----------------------------------------------------------
 
-    def detect_screen(self, image: np.ndarray) -> List[ScoredBox]:
+    def detect_screen(self, image: np.ndarray,
+                      conf_threshold: Optional[float] = None
+                      ) -> List[ScoredBox]:
+        """One screenshot -> boxes.  ``conf_threshold`` is accepted so
+        every detector takes one call, and ignored: the score threshold
+        is in the config, and box refinement is ``mask_refinement``."""
         if not self._fitted:
             raise RuntimeError(f"{self.name} used before fit()")
         start = monotonic_ms()
@@ -332,16 +337,14 @@ class RcnnDetector:
         return kept
 
     def detect_screens(self, images: Sequence[np.ndarray],
-                       refine: bool = True,
                        conf_threshold: Optional[float] = None
                        ) -> List[List[ScoredBox]]:
         """Batched evaluation entry point (Detector batch protocol).
 
         Proposal generation is inherently per-image; the win here is the
-        stacked per-proposal head inside :meth:`detect_screen`.
-        ``refine``/``conf_threshold`` are accepted for signature parity
-        with the one-stage detectors and ignored (refinement is the
-        mask_refinement flag; the score threshold is in the config).
+        stacked per-proposal head inside :meth:`detect_screen`.  Takes
+        ``detect_screens(images, conf_threshold=None)`` like every
+        detector and, like :meth:`detect_screen`, ignores the threshold.
         """
         return [self.detect_screen(img) for img in images]
 

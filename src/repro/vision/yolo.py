@@ -8,8 +8,8 @@ a composite loss (BCE objectness with down-weighted empty cells, MSE
 box regression, cross-entropy class loss on object cells) — the
 standard YOLO recipe.
 
-Boxes are optionally sharpened by :mod:`repro.vision.refine` before
-screen-space reporting; the strict IoU=0.9 metric needs that precision.
+Boxes are sharpened by :mod:`repro.vision.refine` before screen-space
+reporting; the strict IoU=0.9 metric needs that precision.
 """
 
 from __future__ import annotations
@@ -287,7 +287,6 @@ class TinyYolo:
     def detect_screens(
         self,
         screen_images: Sequence[np.ndarray],
-        refine: bool = True,
         conf_threshold: Optional[float] = None,
     ) -> List[List[Detection]]:
         """Batched end-to-end path: N native screenshots -> N box lists.
@@ -306,9 +305,7 @@ class TinyYolo:
         for img, dets in zip(screen_images, batches):
             per_image: List[Detection] = []
             for det in dets:
-                rect = input_rect_to_screen(det.rect)
-                if refine:
-                    rect = refine_detection_box(img, rect)
+                rect = refine_detection_box(img, input_rect_to_screen(det.rect))
                 per_image.append(Detection(rect=rect, label=det.label,
                                            score=det.score))
             out.append(per_image)
@@ -317,14 +314,13 @@ class TinyYolo:
     def detect_screen(
         self,
         screen_image: np.ndarray,
-        refine: bool = True,
         conf_threshold: Optional[float] = None,
     ) -> List[Detection]:
         """End-to-end: native screenshot (H, W, 3) -> screen-space boxes.
 
         This is the call DARPA's runtime makes per settled screenshot.
         """
-        return self.detect_screens([screen_image], refine=refine,
+        return self.detect_screens([screen_image],
                                    conf_threshold=conf_threshold)[0]
 
 

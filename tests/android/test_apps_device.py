@@ -6,7 +6,6 @@ import pytest
 from repro.android import (
     AppSpec,
     Device,
-    DeviceProfile,
     Monkey,
     PerfMeter,
     ResourceId,
@@ -160,7 +159,7 @@ class TestMonkey:
 
 class TestPerfMeter:
     def test_baseline_report(self):
-        meter = PerfMeter(DeviceProfile())
+        meter = PerfMeter()
         report = meter.report(60_000)
         assert report.cpu_pct == pytest.approx(55.22)
         assert report.memory_mb == pytest.approx(4291.96)
@@ -168,7 +167,7 @@ class TestPerfMeter:
         assert report.power_mw == pytest.approx(443.85)
 
     def test_work_increases_cpu_and_power(self):
-        meter = PerfMeter(DeviceProfile())
+        meter = PerfMeter()
         meter.record(PerfOp.INFERENCE, 100)
         report = meter.report(60_000)
         assert report.cpu_pct > 55.22
@@ -176,7 +175,7 @@ class TestPerfMeter:
         assert report.fps < 81.0
 
     def test_components_charge_memory(self):
-        meter = PerfMeter(DeviceProfile())
+        meter = PerfMeter()
         meter.enable_component("monitoring")
         meter.enable_component("detection")
         report = meter.report(60_000)
@@ -185,18 +184,18 @@ class TestPerfMeter:
 
     def test_unknown_component_rejected(self):
         with pytest.raises(ValueError):
-            PerfMeter(DeviceProfile()).enable_component("telemetry")
+            PerfMeter().enable_component("telemetry")
 
     def test_negative_count_rejected(self):
         with pytest.raises(ValueError):
-            PerfMeter(DeviceProfile()).record(PerfOp.SCREENSHOT, -1)
+            PerfMeter().record(PerfOp.SCREENSHOT, -1)
 
     def test_report_requires_positive_duration(self):
         with pytest.raises(ValueError):
-            PerfMeter(DeviceProfile()).report(0)
+            PerfMeter().report(0)
 
     def test_reset_clears_counts(self):
-        meter = PerfMeter(DeviceProfile())
+        meter = PerfMeter()
         meter.record(PerfOp.SCREENSHOT, 5)
         meter.enable_component("detection")
         meter.reset()

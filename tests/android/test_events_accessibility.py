@@ -175,7 +175,7 @@ class TestServiceStop:
         from repro.core import DarpaConfig, DarpaService, ScreenshotPolicy
 
         class NullDetector:
-            def detect_screen(self, screen_image, refine=True,
+            def detect_screen(self, screen_image,
                               conf_threshold=None):
                 return []
 

@@ -174,9 +174,19 @@ class FixedDetector:
     def __init__(self):
         self.calls = 0
 
-    def detect_screen(self, screen_image, refine=True, conf_threshold=None):
+    def detect_screen(self, screen_image, conf_threshold=None):
         self.calls += 1
         return []
+
+
+class TypeErrorDetector(FixedDetector):
+    """A detector whose own code raises ``TypeError``.  It takes any
+    keyword, so the error can only come from its body, never from the
+    call's signature."""
+
+    def detect_screen(self, screen_image, **options):
+        self.calls += 1
+        raise TypeError("bad tensor dtype")
 
 
 class TestFaultyDetector:
@@ -196,6 +206,14 @@ class TestFaultyDetector:
         det.detect_screen(np.zeros((4, 4, 3)))
         assert det.last_detect_ms == pytest.approx(500.0)
         assert device.faults.counts["latency_spikes"] == 1
+
+    def test_a_type_error_inside_the_detector_propagates_after_one_call(self):
+        device = app_device(FaultPlan())
+        inner = TypeErrorDetector()
+        det = FaultyDetector(inner, device.faults)
+        with pytest.raises(TypeError, match="bad tensor dtype"):
+            det.detect_screen(np.zeros((4, 4, 3)), conf_threshold=0.5)
+        assert inner.calls == 1
 
     def test_base_latency_without_spike(self):
         plan = FaultPlan(detector_failure_rate=0.0, detector_base_ms=100.0)

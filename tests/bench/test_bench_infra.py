@@ -189,8 +189,20 @@ class TestArtifactMemos:
                               labels=[[]])
 
         class Dummy:
-            def detect_screen(self, image, refine=True, conf_threshold=None):
+            def detect_screen(self, image, conf_threshold=None):
                 return []
 
         with pytest.raises(ValueError):
             evaluate_detector(Dummy(), ds)
+
+    def test_evaluate_calls_a_raising_detector_once(self):
+        from repro.bench import evaluate_detector
+        from repro.vision.dataset import DetectionDataset
+        from tests.android.test_faults import TypeErrorDetector
+        ds = DetectionDataset(images=np.zeros((1, 3, 8, 8), dtype=np.float32),
+                              labels=[[]], screen_images=[np.zeros((8, 8, 3))],
+                              screen_labels=[[]])
+        detector = TypeErrorDetector()
+        with pytest.raises(TypeError, match="bad tensor dtype"):
+            evaluate_detector(detector, ds)
+        assert detector.calls == 1

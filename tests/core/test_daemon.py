@@ -378,11 +378,11 @@ class _CountingDetector:
                               score=0.9)]
         return []
 
-    def detect_screen(self, image, refine=True, conf_threshold=None):
+    def detect_screen(self, image, conf_threshold=None):
         self.single_calls += 1
         return self._answer(image, conf_threshold)
 
-    def detect_screens(self, images, refine=True, conf_threshold=None):
+    def detect_screens(self, images, conf_threshold=None):
         self.batch_calls += 1
         self.batch_sizes.append(len(images))
         return [self._answer(image, conf_threshold) for image in images]

@@ -201,7 +201,7 @@ class TestServiceStartupPolicy:
         from repro.core import DarpaService
 
         class NullDetector:
-            def detect_screen(self, screen_image, refine=True,
+            def detect_screen(self, screen_image,
                               conf_threshold=None):
                 return []
 
@@ -237,7 +237,7 @@ class TestServiceStartupPolicy:
         from repro.core import DarpaConfig, DarpaService
 
         class ExplodingDetector:
-            def detect_screen(self, screen_image, refine=True,
+            def detect_screen(self, screen_image,
                               conf_threshold=None):
                 raise RuntimeError("native inference aborted")
 

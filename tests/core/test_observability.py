@@ -8,7 +8,7 @@ import math
 import pytest
 
 from repro.android.clock import SimulatedClock
-from repro.android.device import Device, DeviceProfile, PerfMeter, PerfOp
+from repro.android.device import PROFILE, Device, PerfMeter, PerfOp
 from repro.core import DarpaConfig, DarpaService, ScreenshotPolicy
 from repro.core.observability import (
     NULL_TRACER,
@@ -159,19 +159,28 @@ class TestTracer:
         clock = SimulatedClock()
         reg = MetricsRegistry()
         tracer = Tracer(clock, registry=reg)
-        meter = PerfMeter(DeviceProfile())
+        meter = PerfMeter()
         tracer.observe_perf(meter)
         with tracer.span("analyze"):
             meter.record(PerfOp.SCREENSHOT)
         assert reg.counter("darpa.stage.analyze.count").value == 1
         hist = reg.histogram("darpa.stage.analyze.cpu_ms")
         assert hist.count == 1
-        assert hist.sum == pytest.approx(DeviceProfile().screenshot_cpu_ms)
+        assert hist.sum == pytest.approx(PROFILE.screenshot_cpu_ms)
+
+    def test_unobserving_tracer_histograms_zero_cost(self):
+        reg = MetricsRegistry()
+        tracer = Tracer(SimulatedClock(), registry=reg)
+        with tracer.span("analyze") as span:
+            span.charge(PerfOp.SCREENSHOT, 1)
+        hist = reg.histogram("darpa.stage.analyze.cpu_ms")
+        assert (hist.count, hist.sum) == (1, 0.0)
+        assert span.cpu_ms() == PROFILE.screenshot_cpu_ms
 
     def test_perf_attribution_innermost_only(self):
         clock = SimulatedClock()
         tracer = Tracer(clock)
-        meter = PerfMeter(DeviceProfile())
+        meter = PerfMeter()
         tracer.observe_perf(meter)
         with tracer.span("outer") as outer:
             meter.record(PerfOp.EVENT_DELIVERED)
@@ -185,7 +194,7 @@ class TestTracer:
     def test_perf_reset_clears_attributions(self):
         clock = SimulatedClock()
         tracer = Tracer(clock)
-        meter = PerfMeter(DeviceProfile())
+        meter = PerfMeter()
         tracer.observe_perf(meter)
         meter.enable_component("monitoring")
         with tracer.span("s") as s:
@@ -285,7 +294,7 @@ class TestPlanProfiler:
 def _traced_meter_run():
     clock = SimulatedClock()
     tracer = Tracer(clock, trace_id="t")
-    meter = PerfMeter(DeviceProfile())
+    meter = PerfMeter()
     tracer.observe_perf(meter)
     root = tracer.start_span("session")
     meter.enable_component("monitoring")
@@ -313,7 +322,7 @@ class TestSpanDerivedReporting:
     def test_stage_cpu_breakdown(self):
         tracer, _ = _traced_meter_run()
         cpu = stage_cpu_ms(tracer.export())
-        p = DeviceProfile()
+        p = PROFILE
         assert cpu["analyze"] == pytest.approx(p.screenshot_cpu_ms)
         assert cpu["inference"] == pytest.approx(p.inference_cpu_ms)
 
@@ -339,7 +348,7 @@ def _truncated_meter_run(capacity):
     """The `_traced_meter_run` workload on a tiny tracer ring buffer."""
     clock = SimulatedClock()
     tracer = Tracer(clock, trace_id="t", capacity=capacity)
-    meter = PerfMeter(DeviceProfile())
+    meter = PerfMeter()
     tracer.observe_perf(meter)
     root = tracer.start_span("session")
     meter.enable_component("monitoring")

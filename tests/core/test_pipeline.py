@@ -33,7 +33,7 @@ class OracleDetector:
         self.app = app
         self.calls = 0
 
-    def detect_screen(self, screen_image: np.ndarray, refine: bool = True,
+    def detect_screen(self, screen_image: np.ndarray,
                       conf_threshold: Optional[float] = None) -> List[ScoredBox]:
         self.calls += 1
         state = self.app.current
@@ -127,7 +127,7 @@ class TestAnalysisFlow:
         overlays = device.window_manager.overlays()
         assert len(overlays) == 2  # AGO + UPO decorations
         # The UPO decoration must ring the true on-screen position.
-        margin = service.config.style.margin
+        margin = service.decorator.style.margin
         upo_overlay = min(overlays, key=lambda w: w.root.bounds.area)
         loc = device.window_manager.get_location_on_screen(upo_overlay.root)
         assert loc.x == pytest.approx(320 - margin)

@@ -50,7 +50,7 @@ class CountingDetector:
         self.calls = 0
         self.detections = [box()] if detections is None else detections
 
-    def detect_screen(self, screen_image: np.ndarray, refine: bool = True,
+    def detect_screen(self, screen_image: np.ndarray,
                       conf_threshold: Optional[float] = None
                       ) -> List[ScoredBox]:
         self.calls += 1
@@ -64,7 +64,7 @@ class CrashingDetector(CountingDetector):
         super().__init__()
         self.crashes = crashes
 
-    def detect_screen(self, screen_image, refine=True, conf_threshold=None):
+    def detect_screen(self, screen_image, conf_threshold=None):
         self.calls += 1
         if self.calls <= self.crashes:
             raise RuntimeError("native inference aborted")

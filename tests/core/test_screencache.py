@@ -7,7 +7,7 @@ import pytest
 
 from repro.android import AppSpec, Device, SimulatedApp, UiStep, UiTimeline, View
 from repro.android.apps import ScreenState
-from repro.android.device import PerfOp
+from repro.android.device import PROFILE, PerfOp
 from repro.core import DarpaConfig, DarpaService, ScreenshotPolicy
 from repro.core.screencache import ScreenFingerprintCache
 from repro.geometry import Rect, ScoredBox
@@ -196,7 +196,7 @@ class CountingDetector:
     def __init__(self):
         self.calls = 0
 
-    def detect_screen(self, screen_image: np.ndarray, refine: bool = True,
+    def detect_screen(self, screen_image: np.ndarray,
                       conf_threshold: Optional[float] = None
                       ) -> List[ScoredBox]:
         self.calls += 1
@@ -266,7 +266,7 @@ class TestServiceIntegration:
 
     def test_probe_cost_in_overhead_model(self):
         device, _, _ = run_session(DarpaConfig(ct_ms=200.0))
-        profile = device.perf.profile
+        profile = PROFILE
         with_probes = device.perf.report(60_000)
         probe_cpu_pct = (device.perf.count(PerfOp.CACHE_PROBE)
                          * profile.cache_probe_cpu_ms / 60_000 * 100.0)

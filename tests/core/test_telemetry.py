@@ -8,7 +8,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.android.device import DeviceProfile
+from repro.android.device import PROFILE
 from repro.core.telemetry import (
     DEBOUNCE_SKETCH,
     DEFAULT_ALPHA,
@@ -177,9 +177,8 @@ def make_spans():
 
 class TestSketchesFromSpans:
     def test_stage_sketch_derivation(self):
-        profile = DeviceProfile()
-        sketches = sketches_from_spans(make_spans(), profile=profile,
-                                       session=7)
+        profile = PROFILE
+        sketches = sketches_from_spans(make_spans(), session=7)
         assert sketches[DEBOUNCE_SKETCH].count == 1
         assert abs(sketches[DEBOUNCE_SKETCH].sum - 200.0) < 3.0
         assert sketches[SCREENSHOT_SKETCH].count == 1
@@ -369,7 +368,7 @@ class TestSloSpec:
         assert RATIO_SPEC.tally(ratio_session(0, 3, 10)) == (3, 10)
 
     def test_default_slos_reaction_budget(self):
-        profile = DeviceProfile()
+        profile = PROFILE
         specs = {s.name: s for s in default_slos(ct_ms=200.0)}
         assert specs["reaction_p95"].threshold_ms == (
             200.0 + profile.screenshot_cpu_ms + profile.inference_cpu_ms

@@ -21,8 +21,9 @@ import dataclasses
 import os
 import shutil
 import tempfile
+from unittest import mock
 
-from repro.android.device import DeviceProfile
+from repro.android import device
 from repro.bench.experiments import build_runtime_fleet, run_darpa_over_fleet
 from repro.bench.parallel import _write_shard_artifacts
 from repro.core.daemon import DaemonConfig, DarpaDaemon
@@ -73,10 +74,11 @@ def regenerate() -> None:
     # run reads as a seeded regression and /api/flame/diff ranks the
     # screenshot path as its top positive delta.
     cheaper = dataclasses.replace(
-        DeviceProfile(),
-        screenshot_cpu_ms=DeviceProfile.screenshot_cpu_ms * 0.8,
-        inference_cpu_ms=DeviceProfile.inference_cpu_ms * 0.8)
-    baseline = profile_from_results(results, profile=cheaper)
+        device.PROFILE,
+        screenshot_cpu_ms=device.PROFILE.screenshot_cpu_ms * 0.8,
+        inference_cpu_ms=device.PROFILE.inference_cpu_ms * 0.8)
+    with mock.patch.object(device, "PROFILE", cheaper):
+        baseline = profile_from_results(results)
     with open(os.path.join(RUN_DIR, "baseline.profile.json"), "w") as fp:
         fp.write(baseline.to_json())
 

@@ -8,10 +8,11 @@ prints when the benchmark gate trips.
 
 import dataclasses
 import json
+from unittest import mock
 
 import pytest
 
-from repro.android.device import DeviceProfile
+from repro.android import device
 from repro.bench.provenance import build_manifest
 from repro.bench.regress import main as regress_main
 from repro.profiling import (
@@ -25,9 +26,10 @@ from tests.profiling.test_fold import SESSION
 
 
 def fold(inference_cpu_ms=100.0):
-    device = dataclasses.replace(DeviceProfile(),
-                                 inference_cpu_ms=inference_cpu_ms)
-    return profile_from_spans(SESSION, profile=device)
+    costs = dataclasses.replace(device.PROFILE,
+                                inference_cpu_ms=inference_cpu_ms)
+    with mock.patch.object(device, "PROFILE", costs):
+        return profile_from_spans(SESSION)
 
 
 class TestDiffSemantics:

@@ -11,7 +11,7 @@ import dataclasses
 
 import pytest
 
-from repro.android.device import DeviceProfile
+from repro.android import device
 from repro.core.observability import (
     OVERHEAD_STEP,
     PerfMeter,
@@ -57,7 +57,7 @@ class TestStacks:
         assert prof.orphan_spans == 0
 
     def test_cpu_is_innermost_attribution_in_exact_microseconds(self):
-        prof = profile_from_spans(SESSION)  # default DeviceProfile costs
+        prof = profile_from_spans(SESSION)  # the default cost model
         frames = prof.frames
         assert frames[("session",)].cpu_us == 0
         assert frames[("session", "event")].cpu_us == 600        # 2 x 0.3ms
@@ -65,9 +65,10 @@ class TestStacks:
         assert frames[("session", "event", "analyze",
                        "inference")].cpu_us == 100_000
 
-    def test_device_profile_scales_the_fold(self):
-        costly = dataclasses.replace(DeviceProfile(), inference_cpu_ms=250.0)
-        prof = profile_from_spans(SESSION, profile=costly)
+    def test_device_profile_scales_the_fold(self, monkeypatch):
+        monkeypatch.setattr(device, "PROFILE", dataclasses.replace(
+            device.PROFILE, inference_cpu_ms=250.0))
+        prof = profile_from_spans(SESSION)
         assert prof.frames[("session", "event", "analyze",
                             "inference")].cpu_us == 250_000
 
@@ -156,7 +157,7 @@ class TestRealTracedRun:
     def traced(self):
         clock = SimulatedClock()
         tracer = Tracer(clock, trace_id="t")
-        meter = PerfMeter(DeviceProfile())
+        meter = PerfMeter()
         tracer.observe_perf(meter)
         root = tracer.start_span("session")
         with tracer.span("analyze"):

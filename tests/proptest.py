@@ -326,8 +326,7 @@ class TestMetricCoherence:
 
     def test_histogram_sums_match_span_cpu(self, case):
         snap = case.tracer.registry.snapshot()
-        per_stage = stage_cpu_ms(case.spans,
-                                 profile=case.device.perf.profile)
+        per_stage = stage_cpu_ms(case.spans)
         for stage, cpu in per_stage.items():
             assert snap["histograms"][f"darpa.stage.{stage}.cpu_ms"]["sum"] \
                 == cpu

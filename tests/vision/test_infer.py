@@ -133,10 +133,9 @@ class TestPlanEquivalence:
 
     def test_detect_screens_matches_detect_screen(self, model):
         screens = random_screens(5, seed=10)
-        for refine in (False, True):
-            batched = model.detect_screens(screens, refine=refine)
-            singles = [model.detect_screen(s, refine=refine) for s in screens]
-            assert batched == singles
+        batched = model.detect_screens(screens)
+        singles = [model.detect_screen(s) for s in screens]
+        assert batched == singles
 
     def test_detect_screens_empty_input(self, model):
         assert model.detect_screens([]) == []
