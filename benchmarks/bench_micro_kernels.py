@@ -3,12 +3,14 @@
 These use pytest-benchmark's repeated timing (no pedantic one-shots):
 the conv forward pass, the IoU matrix, NMS, screen rendering, the
 view-tree raster of corpus screens, three devices' noisy screenshots in
-turn, the detector-input resize, box refinement, and the end-to-end per-frame
-detection latency that the paper's overhead model depends on.  The
-plan-forward benchmark additionally persists its timings to
-``BENCH_kernels.json`` at the repository root (override the directory
-with ``DARPA_BENCH_OUT``; the payload carries a provenance manifest),
-so the serving-path speedup is machine-checkable across commits.
+turn, the detector-input resize, box refinement, oracle-detector DARPA
+sessions (the simulated-clock event loop, debounce and decoration), and
+the end-to-end per-frame detection latency that the paper's overhead
+model depends on.  The plan-forward benchmark additionally persists its
+timings to ``BENCH_kernels.json`` at the repository root (override the
+directory with ``DARPA_BENCH_OUT``; the payload carries a provenance
+manifest), so the serving-path speedup is machine-checkable across
+commits.
 """
 
 import os
@@ -20,6 +22,7 @@ import pytest
 from repro.android import Device, Screen, View, WindowManager, render_screen
 from repro.android.view import Shape
 from repro.bench import print_table
+from repro.bench.experiments import build_runtime_fleet, run_darpa_session
 from repro.bench.kernels import _best_of_ms, run_kernel_bench
 from repro.datagen import build_aui_screen, build_corpus
 from repro.datagen.corpus import render_state
@@ -154,6 +157,23 @@ def test_micro_refine_box(benchmark, rendered_screen):
              for _, rect in labels]
     refined = benchmark(lambda: [refine_detection_box(image, r) for r in rects])
     assert len(refined) == len(rects) >= 2
+
+
+def test_micro_oracle_session(benchmark):
+    """Seed-0 fleet sessions under the oracle detector at ct = 200 ms, the
+    unit of the Table VIII ct sweep: one minute of Monkey taps and app
+    timelines through the simulated clock, the debouncer and the
+    decorator, with no model and no screenshots."""
+    fleet = build_runtime_fleet(8, seed=0)
+
+    def sessions():
+        return [run_darpa_session(session, "oracle", ct_ms=200.0, mode="full",
+                                  monkey_seed=1000 + i).screens_analyzed
+                for i, session in enumerate(fleet)]
+
+    screens = benchmark(sessions)
+    assert sum(screens) > 0
+    assert sessions() == screens
 
 
 def test_micro_detect_screen_latency(benchmark, trained_model, screen_image):

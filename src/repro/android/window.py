@@ -110,7 +110,17 @@ class Window:
         return view.bounds.offset_by(self.offset)
 
     def contains_view(self, view: View) -> bool:
-        return any(v is view for v in self.root.iter_tree())
+        """Whether ``view`` is in this window's tree, by identity,
+        skipping GONE subtrees as :meth:`View.iter_tree` does."""
+        stack = [self.root]
+        while stack:
+            node = stack.pop()
+            if node.visibility is Visibility.GONE:
+                continue
+            if node is view:
+                return True
+            stack.extend(node.children)
+        return False
 
 
 class WindowManager:

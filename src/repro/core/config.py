@@ -85,8 +85,8 @@ class DarpaConfig:
     force_degraded: bool = False
 
     def __post_init__(self) -> None:
-        if self.ct_ms < 0:
-            raise ValueError("ct must be non-negative")
+        if not self.ct_ms >= 0:
+            raise ValueError("ct must be a non-negative number")
         if not 0.0 < self.conf_threshold < 1.0:
             raise ValueError("confidence threshold must be in (0, 1)")
         if self.screen_cache_size < 0:

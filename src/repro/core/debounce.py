@@ -29,8 +29,8 @@ class CutoffDebouncer:
         ct_ms: float,
         on_settled: Callable[[AccessibilityEvent], None],
     ):
-        if ct_ms < 0:
-            raise ValueError("ct must be non-negative")
+        if not ct_ms >= 0:
+            raise ValueError("ct must be a non-negative number")
         self.clock = clock
         self.ct_ms = ct_ms
         self.on_settled = on_settled

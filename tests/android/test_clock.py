@@ -18,6 +18,20 @@ class TestAdvance:
         with pytest.raises(ValueError):
             SimulatedClock().advance(-1)
 
+    def test_advance_nan_rejected_and_clock_keeps_working(self):
+        clock = SimulatedClock()
+        fired = []
+        clock.schedule(10, lambda: fired.append(clock.now_ms))
+        with pytest.raises(ValueError):
+            clock.advance(float("nan"))
+        assert clock.now_ms == 0.0
+        clock.advance(10)
+        assert fired == [10.0]
+
+    def test_nan_start_rejected(self):
+        with pytest.raises(ValueError):
+            SimulatedClock(float("nan"))
+
 
 class TestScheduling:
     def test_callback_fires_at_due_time(self):
@@ -73,6 +87,24 @@ class TestScheduling:
     def test_schedule_in_past_rejected(self):
         with pytest.raises(ValueError):
             SimulatedClock().schedule(-5, lambda: None)
+
+    def test_schedule_nan_rejected(self):
+        clock = SimulatedClock()
+        with pytest.raises(ValueError):
+            clock.schedule(float("nan"), lambda: None)
+        assert clock.pending_timers() == 0
+
+    def test_cancelled_timer_frees_its_tie_slot(self):
+        clock = SimulatedClock()
+        order = []
+        first = clock.schedule(10, lambda: order.append(1))
+        clock.schedule(10, lambda: order.append(2))
+        assert clock.cancel(first)
+        assert not clock.cancel(first)
+        assert clock.pending_timers() == 1
+        clock.advance(10)
+        assert order == [2]
+        assert clock.pending_timers() == 0
 
     def test_pending_timers_count(self):
         clock = SimulatedClock()

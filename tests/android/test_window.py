@@ -6,6 +6,7 @@ from repro.android import (
     LayoutParams,
     Screen,
     View,
+    Visibility,
     WindowManager,
     WindowType,
 )
@@ -70,6 +71,47 @@ class TestAppWindows:
         v = View(bounds=Rect(10, 10, 50, 50))
         w.root.add_child(v)
         assert w.screen_bounds_of(v) == Rect(10, 34, 50, 50)
+
+
+class TestContainsView:
+    def tree(self):
+        """root > [gone > gone_leaf, invisible > invisible_leaf, leaf]"""
+        root = app_root()
+        views = {name: View(bounds=Rect(0, 0, 10, 10)) for name in
+                 ("gone", "gone_leaf", "invisible", "invisible_leaf", "leaf")}
+        views["gone"].visibility = Visibility.GONE
+        views["invisible"].visibility = Visibility.INVISIBLE
+        views["gone"].add_child(views["gone_leaf"])
+        views["invisible"].add_child(views["invisible_leaf"])
+        for name in ("gone", "invisible", "leaf"):
+            root.add_child(views[name])
+        return root, views
+
+    def test_gone_subtrees_skipped_invisible_kept(self, wm):
+        root, views = self.tree()
+        w = wm.attach_app_window(root, "com.demo")
+        assert w.contains_view(root)
+        assert not w.contains_view(views["gone"])
+        assert not w.contains_view(views["gone_leaf"])
+        assert w.contains_view(views["invisible"])
+        assert w.contains_view(views["invisible_leaf"])
+        assert w.contains_view(views["leaf"])
+        assert not w.contains_view(View(bounds=Rect(0, 0, 10, 10)))
+        assert wm.window_of(views["invisible_leaf"]) is w
+        assert wm.window_of(views["gone_leaf"]) is None
+
+    def test_agrees_with_iter_tree(self, wm):
+        root, views = self.tree()
+        w = wm.attach_app_window(root, "com.demo")
+        for view in [root, *views.values()]:
+            assert w.contains_view(view) == any(
+                v is view for v in root.iter_tree())
+
+    def test_gone_root_contains_nothing(self, wm):
+        root, views = self.tree()
+        root.visibility = Visibility.GONE
+        w = wm.attach_app_window(root, "com.demo")
+        assert not any(w.contains_view(v) for v in [root, *views.values()])
 
 
 class TestOverlays:

@@ -4,7 +4,7 @@ import pytest
 
 from repro.android import AccessibilityEventType, SimulatedClock
 from repro.android.events import AccessibilityEvent
-from repro.core import CutoffDebouncer
+from repro.core import CutoffDebouncer, DarpaConfig
 
 
 def ui_event(clock, etype=AccessibilityEventType.TYPE_WINDOW_CONTENT_CHANGED):
@@ -102,6 +102,15 @@ class TestQuiescence:
     def test_negative_ct_rejected(self, clock):
         with pytest.raises(ValueError):
             CutoffDebouncer(clock, -1, lambda e: None)
+
+    def test_nan_ct_rejected(self, clock):
+        # NaN passes a ``ct < 0`` check, and then no screen ever settles.
+        with pytest.raises(ValueError):
+            CutoffDebouncer(clock, float("nan"), lambda e: None)
+
+    def test_nan_ct_rejected_by_config(self):
+        with pytest.raises(ValueError):
+            DarpaConfig(ct_ms=float("nan"))
 
 
 class TestNonUiEvents:
