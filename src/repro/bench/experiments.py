@@ -30,7 +30,7 @@ from repro.android.faults import (
 from repro.android.monkey import Monkey
 from repro.android.resources import ResourceIdPolicy
 from repro.core import DarpaConfig, DarpaService, ScreenshotPolicy
-from repro.core.observability import Tracer
+from repro.core.observability import DROPPED_SPANS_COUNTER, Tracer
 from repro.datagen import build_corpus, build_non_aui_screen, build_aui_screen, split_corpus
 from repro.datagen.corpus import Corpus
 from repro.vision import (
@@ -283,8 +283,11 @@ class SessionResult:
     #: every nested stage — :func:`repro.core.observability.report_from_spans`
     #: rebuilds :attr:`perf` from these bit-for-bit.
     spans: Optional[List[Dict]] = None
-    #: MetricsRegistry snapshot (counters/gauges/histograms) of a traced
-    #: run; empty when tracing was off or the mode had no service.
+    #: Counters and gauges of a traced run: the service's
+    #: :class:`~repro.core.observability.MetricsRegistry` snapshot (none
+    #: in ``baseline`` mode) plus ``darpa.trace.dropped_spans``, the
+    #: spans the tracer's ring buffer evicted.  Empty when tracing was
+    #: off.  Per-stage counts and costs live in :attr:`spans`.
     metrics: Dict = field(default_factory=dict)
 
 
@@ -523,8 +526,9 @@ def run_darpa_session(
     metrics: Dict = {}
     if tracer is not None:
         spans = tracer.export()
-        if tracer.registry is not None:
-            metrics = tracer.registry.snapshot()
+        metrics = (service.stats.registry.snapshot() if service is not None
+                   else {"counters": {}, "gauges": {}})
+        metrics["counters"][DROPPED_SPANS_COUNTER] = tracer.dropped
 
     return SessionResult(
         package=session.spec.package,

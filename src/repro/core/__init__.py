@@ -20,7 +20,6 @@ from repro.core.observability import (
     NULL_TRACER,
     Counter,
     Gauge,
-    Histogram,
     MetricsRegistry,
     NullTracer,
     PlanProfiler,
@@ -73,7 +72,6 @@ __all__ = [
     "NULL_TRACER",
     "Counter",
     "Gauge",
-    "Histogram",
     "MetricsRegistry",
     "NullTracer",
     "PlanProfiler",

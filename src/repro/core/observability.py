@@ -13,9 +13,10 @@ effect on any measured number:
   screen fingerprint, cache hit/miss, retry attempt and breaker state.
   Finished spans land in a bounded in-memory ring buffer and export as
   deterministic JSONL;
-- :class:`MetricsRegistry` provides named counters, gauges and
-  fixed-bucket latency histograms.  The pipeline's ``DarpaStats`` is a
-  thin compatibility view over one of these registries;
+- :class:`MetricsRegistry` provides named counters and gauges.  The
+  pipeline's ``DarpaStats`` is a thin compatibility view over one of
+  these registries.  Per-stage counts and latencies are not kept here:
+  they are read off the span dump (:class:`SpanIndex`);
 - :class:`PlanProfiler` hooks :class:`repro.vision.nn.infer.InferencePlan`
   execution, attributing per-step cost-model charges (MAC-weighted
   shares of the inference CPU budget) to the enclosing span;
@@ -39,9 +40,10 @@ from __future__ import annotations
 import json
 import math
 from collections import deque
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from typing import (
+    ContextManager,
     Deque,
     Dict,
     IO,
@@ -62,21 +64,16 @@ from repro.android.device import PerfMeter, PerfOp, PerfReport
 # Metric naming scheme (see DESIGN.md "Observability"):
 #
 #   darpa.pipeline.<counter>       — the DarpaStats compatibility counters
-#   darpa.stage.<stage>.count      — completed spans per stage
-#   darpa.stage.<stage>.cpu_ms     — histogram of per-span attributed cost
+#   darpa.resilience.<counter>     — breaker transition counters
+#   darpa.trace.dropped_spans      — spans the tracer ring buffer evicted
 #   darpa.breaker.state            — gauge: 0 closed / 1 half-open / 2 open
 #   darpa.cache.entries            — gauge: live fingerprint-cache entries
 # ---------------------------------------------------------------------------
 
-#: Fixed upper bounds (ms) of the per-stage latency histograms.  Chosen
-#: around the cost model's scale: probes ~2ms, screenshots ~30ms,
-#: inferences ~100ms, retried analyses a few hundred.
-STAGE_BUCKETS_MS: Tuple[float, ...] = (
-    1.0, 2.0, 5.0, 10.0, 25.0, 50.0, 100.0, 250.0, 500.0, 1000.0)
-
-#: Counter bumped whenever the tracer ring buffer evicts a finished
-#: span.  Silent drops would corrupt span-derived totals, so the drop
-#: count itself must be observable (and is surfaced by ``repro trace``).
+#: Session metrics counter holding :attr:`Tracer.dropped`, the spans the
+#: ring buffer evicted.  Silent drops would corrupt span-derived totals,
+#: so the drop count itself must be observable (and is surfaced by
+#: ``repro trace`` and the profile warning).
 DROPPED_SPANS_COUNTER = "darpa.trace.dropped_spans"
 
 #: Step label :meth:`PlanProfiler.attribute` folds zero-MAC steps (and
@@ -145,45 +142,8 @@ class Gauge:
         self.value = 0.0
 
 
-class Histogram:
-    """A fixed-bucket histogram (cumulative counts are derivable).
-
-    ``bucket_counts[i]`` counts observations ``<= buckets[i]``;
-    the final slot counts overflow.  ``sum``/``count`` track totals so
-    mean latency needs no bucket arithmetic — and so the property tests
-    can assert ``count`` equals the matching stage counter and ``sum``
-    equals the span-attributed cost, exactly.
-    """
-
-    __slots__ = ("name", "buckets", "bucket_counts", "count", "sum")
-
-    def __init__(self, name: str, buckets: Sequence[float] = STAGE_BUCKETS_MS):
-        if not buckets or list(buckets) != sorted(buckets):
-            raise ValueError("histogram buckets must be ascending and non-empty")
-        self.name = name
-        self.buckets = tuple(float(b) for b in buckets)
-        self.bucket_counts = [0] * (len(self.buckets) + 1)
-        self.count = 0
-        self.sum = 0.0
-
-    def observe(self, value: float) -> None:
-        v = float(value)
-        self.count += 1
-        self.sum += v
-        for i, bound in enumerate(self.buckets):
-            if v <= bound:
-                self.bucket_counts[i] += 1
-                return
-        self.bucket_counts[-1] += 1
-
-    def reset(self) -> None:
-        self.bucket_counts = [0] * (len(self.buckets) + 1)
-        self.count = 0
-        self.sum = 0.0
-
-
 class MetricsRegistry:
-    """A named home for counters, gauges and histograms.
+    """A named home for counters and gauges.
 
     Instruments are created on first touch and live for the registry's
     lifetime; iteration order is creation order, so snapshots of two
@@ -193,7 +153,6 @@ class MetricsRegistry:
     def __init__(self) -> None:
         self._counters: Dict[str, Counter] = {}
         self._gauges: Dict[str, Gauge] = {}
-        self._histograms: Dict[str, Histogram] = {}
 
     def counter(self, name: str) -> Counter:
         inst = self._counters.get(name)
@@ -207,16 +166,6 @@ class MetricsRegistry:
             inst = self._gauges[name] = Gauge(name)
         return inst
 
-    def histogram(self, name: str,
-                  buckets: Sequence[float] = STAGE_BUCKETS_MS) -> Histogram:
-        inst = self._histograms.get(name)
-        if inst is None:
-            inst = self._histograms[name] = Histogram(name, buckets)
-        elif tuple(float(b) for b in buckets) != inst.buckets:
-            raise ValueError(
-                f"histogram {name!r} already registered with different buckets")
-        return inst
-
     @property
     def counters(self) -> Dict[str, Counter]:
         return dict(self._counters)
@@ -225,21 +174,11 @@ class MetricsRegistry:
     def gauges(self) -> Dict[str, Gauge]:
         return dict(self._gauges)
 
-    @property
-    def histograms(self) -> Dict[str, Histogram]:
-        return dict(self._histograms)
-
     def snapshot(self) -> Dict[str, object]:
         """A plain-dict, JSON-ready dump of every instrument."""
         return {
             "counters": {n: c.value for n, c in self._counters.items()},
             "gauges": {n: g.value for n, g in self._gauges.items()},
-            "histograms": {
-                n: {"buckets": list(h.buckets),
-                    "bucket_counts": list(h.bucket_counts),
-                    "count": h.count, "sum": h.sum}
-                for n, h in self._histograms.items()
-            },
         }
 
     def reset(self) -> None:
@@ -247,8 +186,6 @@ class MetricsRegistry:
             c.reset()
         for g in self._gauges.values():
             g.reset()
-        for h in self._histograms.values():
-            h.reset()
 
 
 # ---------------------------------------------------------------------------
@@ -288,10 +225,6 @@ class Span:
         key = op.value
         self.ops[key] = self.ops.get(key, 0) + n
 
-    def cpu_ms(self) -> float:
-        """Cost-model CPU attributed directly to this span (not children)."""
-        return ops_cpu_ms(self.ops, op_cpu_ms())
-
     def to_dict(self) -> Dict[str, object]:
         return {
             "name": self.name,
@@ -309,20 +242,20 @@ class NullTracer:
     """The do-nothing tracer: every hook is inert, every export empty.
 
     The pipeline calls the tracer unconditionally; when tracing is off
-    this singleton absorbs the calls without allocating spans, touching
-    the registry, or observing the perf meter — which is what keeps the
-    disabled mode bit-inert (and nearly free).
+    this singleton absorbs the calls without allocating spans or
+    observing the perf meter — which is what keeps the disabled mode
+    bit-inert (and nearly free: :meth:`span` hands out one shared,
+    stateless context manager instead of entering a generator).
     """
 
     enabled = False
-    registry: Optional[MetricsRegistry] = None
 
     _NULL_SPAN = Span(name="null", span_id=0, parent_id=None,
                       trace_id="null", start_ms=0.0, end_ms=0.0)
+    _NULL_CONTEXT = nullcontext(_NULL_SPAN)
 
-    @contextmanager
-    def span(self, name: str, **attributes: object) -> Iterator[Span]:
-        yield self._NULL_SPAN
+    def span(self, name: str, **attributes: object) -> ContextManager[Span]:
+        return self._NULL_CONTEXT
 
     def start_span(self, name: str, **attributes: object) -> Span:
         return self._NULL_SPAN
@@ -340,9 +273,6 @@ class NullTracer:
     def annotate(self, span: Span, **attributes: object) -> None:
         pass
 
-    def attach_registry(self, registry: MetricsRegistry) -> None:
-        pass
-
     def observe_perf(self, meter: PerfMeter) -> None:
         pass
 
@@ -358,11 +288,10 @@ class Tracer:
     """Emits nested spans on the simulated clock.
 
     Finished spans are kept in a ring buffer of ``capacity`` (old spans
-    fall off first; counters and histograms keep counting regardless)
-    and can be exported as dicts or JSONL.  When a
-    :class:`MetricsRegistry` is attached, closing a span bumps
-    ``darpa.stage.<name>.count`` and observes the span's attributed
-    cost in ``darpa.stage.<name>.cpu_ms``.
+    fall off first and are counted in :attr:`dropped`) and can be
+    exported as dicts or JSONL.  The exported spans are the one record
+    of per-stage counts and costs; the tracer keeps no metrics of its
+    own.
 
     Attach to a device's :class:`~repro.android.device.PerfMeter` with
     :meth:`observe_perf`: every subsequent cost-model charge is
@@ -375,15 +304,11 @@ class Tracer:
     enabled = True
 
     def __init__(self, clock: SimulatedClock, trace_id: str = "trace",
-                 registry: Optional[MetricsRegistry] = None,
                  capacity: int = 65536):
         if capacity < 1:
             raise ValueError("tracer capacity must be >= 1")
         self.clock = clock
         self.trace_id = trace_id
-        self.registry = registry
-        if registry is not None:
-            registry.counter(DROPPED_SPANS_COUNTER)
         self.capacity = capacity
         self.finished: Deque[Span] = deque(maxlen=capacity)
         #: Finished spans the ring buffer evicted (observability of the
@@ -393,9 +318,6 @@ class Tracer:
         self.components: List[str] = []
         self._stack: List[Span] = []
         self._seq = 0
-        #: Set by :meth:`observe_perf`; until then the stage histograms
-        #: record every span at 0.0 cost-model CPU.
-        self._observing = False
 
     # -- span lifecycle -------------------------------------------------
 
@@ -476,29 +398,15 @@ class Tracer:
         """
         span.attributes.update(attributes)
 
-    def attach_registry(self, registry: MetricsRegistry) -> None:
-        """Adopt ``registry`` and pre-create the drop counter, so a
-        healthy (drop-free) trace still exports the counter at zero."""
-        self.registry = registry
-        registry.counter(DROPPED_SPANS_COUNTER)
-
     def _finish(self, span: Span) -> None:
         if len(self.finished) == self.capacity:
             self.dropped += 1
-            if self.registry is not None:
-                self.registry.counter(DROPPED_SPANS_COUNTER).inc()
         self.finished.append(span)
-        if self.registry is not None:
-            self.registry.counter(f"darpa.stage.{span.name}.count").inc()
-            cpu = span.cpu_ms() if self._observing else 0.0
-            self.registry.histogram(
-                f"darpa.stage.{span.name}.cpu_ms").observe(cpu)
 
     # -- perf attribution -----------------------------------------------
 
     def observe_perf(self, meter: PerfMeter) -> None:
         """Mirror every cost-model charge of ``meter`` into spans."""
-        self._observing = True
         meter.set_observers(
             on_record=self._on_perf_record,
             on_component=self._on_perf_component,

@@ -167,8 +167,8 @@ class DarpaStats:
     :meth:`reset` (see ``DarpaService.reset_stats``).
     """
 
-    def __init__(self, registry: Optional[MetricsRegistry] = None):
-        self.registry = registry if registry is not None else MetricsRegistry()
+    def __init__(self) -> None:
+        self.registry = MetricsRegistry()
         self.records: List[AnalysisRecord] = []
         # Pre-create every counter so snapshot key order is stable and
         # zero-valued counters still appear in exports.
@@ -262,12 +262,8 @@ class DarpaService:
         self.stats = DarpaStats()
         # Tracing is opt-in and bit-inert when off: the NULL_TRACER
         # records nothing and the pipeline draws no extra randomness or
-        # perf charges either way.  A real tracer without its own
-        # registry adopts the stats registry, so stage histograms and
-        # the DarpaStats counters share one export.
+        # perf charges either way.
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        if self.tracer.enabled and self.tracer.registry is None:
-            self.tracer.attach_registry(self.stats.registry)
         self._plan_profiler: Optional[PlanProfiler] = None
         self._traced_plan = None
         # The fingerprint cache only makes sense over real pixels:

@@ -501,50 +501,33 @@ def merge_registry_snapshots(
     snapshots: Sequence[Mapping[str, object]]) -> Dict[str, object]:
     """Fold per-session :class:`MetricsRegistry` snapshots into one.
 
-    Counters and histogram tallies add; gauges are last-write-wins in
-    the given order (feed snapshots in global session order).  Histogram
-    ``sum`` totals are folded with :func:`math.fsum`, which is exactly
-    rounded and therefore permutation-invariant — shard merge order
-    cannot skew the merged float by even an ulp.
+    Counters add; gauges are last-write-wins in the given order (feed
+    snapshots in global session order).
     """
     counters: Dict[str, int] = {}
     gauges: Dict[str, float] = {}
-    histograms: Dict[str, Dict[str, object]] = {}
-    hist_sums: Dict[str, List[float]] = {}
     for snap in snapshots:
         for name, value in snap.get("counters", {}).items():  # type: ignore[union-attr]
             counters[name] = counters.get(name, 0) + int(value)
         for name, value in snap.get("gauges", {}).items():  # type: ignore[union-attr]
             gauges[name] = float(value)
-        for name, hist in snap.get("histograms", {}).items():  # type: ignore[union-attr]
-            hist_sums.setdefault(name, []).append(float(hist["sum"]))
-            merged = histograms.get(name)
-            if merged is None:
-                histograms[name] = {
-                    "buckets": list(hist["buckets"]),
-                    "bucket_counts": list(hist["bucket_counts"]),
-                    "count": int(hist["count"]),
-                    "sum": 0.0,
-                }
-                continue
-            if list(hist["buckets"]) != merged["buckets"]:
-                raise ValueError(
-                    f"histogram {name!r} has mismatched buckets across "
-                    "snapshots")
-            merged["bucket_counts"] = [
-                a + b for a, b in zip(merged["bucket_counts"],
-                                      hist["bucket_counts"])]
-            merged["count"] = int(merged["count"]) + int(hist["count"])
-    for name, values in hist_sums.items():
-        histograms[name]["sum"] = math.fsum(values)
-    return {"counters": counters, "gauges": gauges, "histograms": histograms}
+    return {"counters": counters, "gauges": gauges}
 
 
 def registry_prometheus_lines(
         snapshot: Mapping[str, object]) -> List[str]:
-    """Prometheus text exposition of a registry snapshot."""
+    """Prometheus text exposition of a registry snapshot, less the
+    health counters :meth:`FleetTelemetry.prometheus_lines` exports.
+
+    The two are printed together by ``repro metrics``, and the text
+    format allows each metric family to be declared only once.
+    """
+    fleet_counters = {_counter_namespace(name) + name
+                      for name in TELEMETRY_COUNTERS}
     lines: List[str] = []
     for name in sorted(snapshot.get("counters", {})):  # type: ignore[union-attr]
+        if name in fleet_counters:
+            continue
         metric = _prom_name(name) + "_total"
         lines.append(f"# TYPE {metric} counter")
         lines.append(f"{metric} {snapshot['counters'][name]}")  # type: ignore[index]
@@ -552,19 +535,6 @@ def registry_prometheus_lines(
         metric = _prom_name(name)
         lines.append(f"# TYPE {metric} gauge")
         lines.append(f"{metric} {_prom_float(snapshot['gauges'][name])}")  # type: ignore[index]
-    for name in sorted(snapshot.get("histograms", {})):  # type: ignore[union-attr]
-        hist = snapshot["histograms"][name]  # type: ignore[index]
-        metric = _prom_name(name)
-        lines.append(f"# TYPE {metric} histogram")
-        cumulative = 0
-        for bound, count in zip(hist["buckets"], hist["bucket_counts"]):
-            cumulative += int(count)
-            lines.append(
-                f'{metric}_bucket{{le="{_prom_float(bound)}"}} {cumulative}')
-        cumulative += int(hist["bucket_counts"][-1])
-        lines.append(f'{metric}_bucket{{le="+Inf"}} {cumulative}')
-        lines.append(f"{metric}_sum {_prom_float(hist['sum'])}")
-        lines.append(f"{metric}_count {hist['count']}")
     return lines
 
 

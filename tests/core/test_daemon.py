@@ -196,10 +196,12 @@ class TestDaemonServing:
                     if e.outcome == "degraded"]
         assert degraded
         for index in degraded:
-            counters = report.results[index].metrics["counters"]
+            result = report.results[index]
+            counters = result.metrics["counters"]
             # No CNN inference ran; every analysis went through the
             # FraudDroid fallback.
-            assert "darpa.stage.inference.count" not in counters
+            names = {span["name"] for span in result.spans}
+            assert "fallback" in names and "inference" not in names
             assert counters["darpa.pipeline.fallback_detections"] \
                 == counters["darpa.pipeline.screens_analyzed"]
 

@@ -13,7 +13,6 @@ from repro.core import DarpaConfig, DarpaService, ScreenshotPolicy
 from repro.core.observability import (
     NULL_TRACER,
     OVERHEAD_STEP,
-    Histogram,
     MetricsRegistry,
     PlanProfiler,
     Span,
@@ -49,40 +48,12 @@ class TestMetrics:
         g.set(1.5)
         assert g.value == 1.5
 
-    def test_histogram_buckets_and_totals(self):
-        h = Histogram("h", buckets=(1.0, 10.0, 100.0))
-        for v in (0.5, 5.0, 50.0, 500.0):
-            h.observe(v)
-        assert h.bucket_counts == [1, 1, 1, 1]  # last slot = overflow
-        assert h.count == 4
-        assert h.sum == pytest.approx(555.5)
-        h.reset()
-        assert h.bucket_counts == [0, 0, 0, 0] and h.count == 0 and h.sum == 0.0
-
-    def test_histogram_boundary_is_inclusive(self):
-        h = Histogram("h", buckets=(1.0, 10.0))
-        h.observe(1.0)
-        assert h.bucket_counts == [1, 0, 0]
-
-    def test_histogram_rejects_unsorted_buckets(self):
-        with pytest.raises(ValueError):
-            Histogram("h", buckets=(10.0, 1.0))
-
-    def test_histogram_bucket_mismatch_rejected(self):
-        reg = MetricsRegistry()
-        reg.histogram("h", buckets=(1.0, 2.0))
-        with pytest.raises(ValueError):
-            reg.histogram("h", buckets=(1.0, 3.0))
-
     def test_snapshot_shape(self):
         reg = MetricsRegistry()
         reg.counter("c").inc(2)
         reg.gauge("g").set(7)
-        reg.histogram("h", buckets=(1.0,)).observe(0.5)
         snap = reg.snapshot()
-        assert snap["counters"] == {"c": 2}
-        assert snap["gauges"] == {"g": 7.0}
-        assert snap["histograms"]["h"]["count"] == 1
+        assert snap == {"counters": {"c": 2}, "gauges": {"g": 7.0}}
         reg.reset()
         assert reg.snapshot()["counters"] == {"c": 0}
 
@@ -130,52 +101,41 @@ class TestTracer:
         assert [s.name for s in tracer.finished] == ["s2", "s3"]
         assert tracer.dropped == 2
 
-    def test_dropped_spans_surface_as_registry_counter(self):
+    def test_dropped_spans_surface_as_registry_counter(self, monkeypatch):
+        """A traced session exports the tracer's eviction count among its
+        metrics counters: at zero when nothing was dropped, equal to
+        ``Tracer.dropped`` when the ring buffer overflowed."""
+        from repro.bench import experiments
         from repro.core.observability import DROPPED_SPANS_COUNTER
 
-        reg = MetricsRegistry()
-        tracer = Tracer(SimulatedClock(), registry=reg, capacity=3)
-        # Pre-created at zero: a healthy trace still exports the counter.
-        assert reg.counter(DROPPED_SPANS_COUNTER).value == 0
-        for i in range(5):
-            with tracer.span(f"s{i}"):
-                pass
-        assert tracer.dropped == 2
-        assert reg.counter(DROPPED_SPANS_COUNTER).value == tracer.dropped
-        assert reg.snapshot()["counters"][DROPPED_SPANS_COUNTER] == 2
+        session = experiments.build_runtime_fleet(
+            n_apps=1, seed=0, duration_ms=5_000.0)[0]
 
-    def test_attach_registry_precreates_drop_counter(self):
-        from repro.core.observability import DROPPED_SPANS_COUNTER
+        def run(capacity):
+            tracers = []
 
-        tracer = Tracer(SimulatedClock())
-        reg = MetricsRegistry()
-        tracer.attach_registry(reg)
-        assert tracer.registry is reg
-        assert DROPPED_SPANS_COUNTER in reg.snapshot()["counters"]
-        NULL_TRACER.attach_registry(reg)  # inert no-op on the null tracer
-        assert NULL_TRACER.registry is None
+            def small_tracer(clock, trace_id):
+                tracers.append(Tracer(clock, trace_id, capacity=capacity))
+                return tracers[-1]
 
-    def test_registry_stage_instruments(self):
-        clock = SimulatedClock()
-        reg = MetricsRegistry()
-        tracer = Tracer(clock, registry=reg)
-        meter = PerfMeter()
-        tracer.observe_perf(meter)
-        with tracer.span("analyze"):
-            meter.record(PerfOp.SCREENSHOT)
-        assert reg.counter("darpa.stage.analyze.count").value == 1
-        hist = reg.histogram("darpa.stage.analyze.cpu_ms")
-        assert hist.count == 1
-        assert hist.sum == pytest.approx(PROFILE.screenshot_cpu_ms)
+            monkeypatch.setattr(experiments, "Tracer", small_tracer)
+            result = experiments.run_darpa_session(
+                session, "oracle", ct_ms=200.0, mode="full",
+                duration_ms=5_000.0, monkey_seed=0, trace=True)
+            return result, tracers[0]
 
-    def test_unobserving_tracer_histograms_zero_cost(self):
-        reg = MetricsRegistry()
-        tracer = Tracer(SimulatedClock(), registry=reg)
-        with tracer.span("analyze") as span:
-            span.charge(PerfOp.SCREENSHOT, 1)
-        hist = reg.histogram("darpa.stage.analyze.cpu_ms")
-        assert (hist.count, hist.sum) == (1, 0.0)
-        assert span.cpu_ms() == PROFILE.screenshot_cpu_ms
+        healthy, tracer = run(capacity=65536)
+        assert tracer.dropped == 0
+        assert healthy.metrics["counters"][DROPPED_SPANS_COUNTER] == 0
+        overflowed, tracer = run(capacity=8)
+        assert tracer.dropped == len(healthy.spans) - 8 > 0
+        assert overflowed.metrics["counters"][DROPPED_SPANS_COUNTER] \
+            == tracer.dropped
+        # The pipeline counters are the service's, untouched by tracing.
+        assert {k: v for k, v in overflowed.metrics["counters"].items()
+                if k != DROPPED_SPANS_COUNTER} == \
+            {k: v for k, v in healthy.metrics["counters"].items()
+             if k != DROPPED_SPANS_COUNTER}
 
     def test_perf_attribution_innermost_only(self):
         clock = SimulatedClock()
@@ -491,10 +451,6 @@ class TestServiceTracing:
             device, detector, config=service.config,
             policy=ScreenshotPolicy(consent_given=True), tracer=tracer)
         return device, app, traced, tracer
-
-    def test_tracer_adopts_stats_registry(self):
-        _, _, traced, tracer = self._traced_session()
-        assert tracer.registry is traced.stats.registry
 
     def test_pipeline_emits_expected_span_taxonomy(self):
         device, app, traced, tracer = self._traced_session()

@@ -1,7 +1,6 @@
 """Unit tests for repro.core.telemetry: quantile sketches, session /
 fleet telemetry derivation, exporters, and the SLO burn-rate engine."""
 
-import itertools
 import json
 import math
 from types import SimpleNamespace
@@ -217,14 +216,14 @@ class TestSketchesFromSpans:
             metrics={"counters": {
                 "darpa.pipeline.screens_analyzed": 4,
                 "darpa.pipeline.retries": 2,
-                "darpa.stage.analyze.count": 99,       # not a health counter
+                "darpa.pipeline.events_seen": 99,      # not a health counter
                 "darpa.trace.dropped_spans": 1,        # not pipeline-prefixed
             }})
         telemetry = SessionTelemetry.from_result(3, result)
         assert telemetry.counters["screens_analyzed"] == 4
         assert telemetry.counters["retries"] == 2
         assert telemetry.counters["breaker_opens"] == 0
-        assert "analyze.count" not in telemetry.counters
+        assert "events_seen" not in telemetry.counters
 
 
 # ---------------------------------------------------------------------------
@@ -287,48 +286,24 @@ class TestRegistryMerge:
         assert merged["counters"] == {"a": 3, "b": 5}
         assert merged["gauges"] == {"g": 3.5}
 
-    def test_histograms_add_and_gate_bucket_mismatch(self):
-        hist = {"buckets": [1.0, 10.0], "bucket_counts": [1, 2, 3],
-                "count": 6, "sum": 30.0}
-        merged = merge_registry_snapshots(
-            [{"histograms": {"h": hist}}, {"histograms": {"h": hist}}])
-        assert merged["histograms"]["h"]["bucket_counts"] == [2, 4, 6]
-        assert merged["histograms"]["h"]["count"] == 12
-        other = dict(hist, buckets=[1.0, 99.0])
-        with pytest.raises(ValueError):
-            merge_registry_snapshots(
-                [{"histograms": {"h": hist}}, {"histograms": {"h": other}}])
-
-    def test_histogram_sums_invariant_to_snapshot_order(self):
-        # darpalint DL004 regression: the merged float sum must not
-        # depend on shard merge order.  These magnitudes make naive
-        # left-to-right addition order-sensitive (1e16 + 1.0 == 1e16),
-        # so only an exactly-rounded fold passes for every permutation.
-        def snap(value):
-            return {"histograms": {"h": {"buckets": [1.0],
-                                         "bucket_counts": [1, 0],
-                                         "count": 1, "sum": value}}}
-
-        snaps = [snap(1e16), snap(1.0), snap(-1e16), snap(1.0)]
-        want = merge_registry_snapshots(snaps)["histograms"]["h"]["sum"]
-        assert want == 2.0
-        for order in itertools.permutations(range(4)):
-            got = merge_registry_snapshots([snaps[i] for i in order])
-            assert got["histograms"]["h"]["sum"] == want
-
-    def test_prometheus_histogram_is_cumulative(self):
+    def test_prometheus_lines_leave_health_counters_to_the_fleet(self):
+        # repro metrics prints these after FleetTelemetry's lines, which
+        # already declare the health counters: no family may repeat.
         lines = registry_prometheus_lines({
-            "counters": {"darpa.pipeline.retries": 4},
-            "gauges": {},
-            "histograms": {"h": {"buckets": [1.0, 10.0],
-                                 "bucket_counts": [1, 2, 3],
-                                 "count": 6, "sum": 30.0}},
+            "counters": {"darpa.pipeline.retries": 4,
+                         "darpa.resilience.breaker_opened": 1,
+                         "darpa.pipeline.events_seen": 7,
+                         "darpa.trace.dropped_spans": 0},
+            "gauges": {"darpa.breaker.state": 2.0},
         })
-        text = "\n".join(lines)
-        assert "darpa_pipeline_retries_total 4" in text
-        assert 'h_bucket{le="1.0"} 1' in text
-        assert 'h_bucket{le="10.0"} 3' in text
-        assert 'h_bucket{le="+Inf"} 6' in text
+        assert lines == [
+            "# TYPE darpa_pipeline_events_seen_total counter",
+            "darpa_pipeline_events_seen_total 7",
+            "# TYPE darpa_trace_dropped_spans_total counter",
+            "darpa_trace_dropped_spans_total 0",
+            "# TYPE darpa_breaker_state gauge",
+            "darpa_breaker_state 2.0",
+        ]
 
 
 # ---------------------------------------------------------------------------

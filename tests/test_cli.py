@@ -108,6 +108,13 @@ class TestTelemetryCommands:
         assert '# TYPE darpa_latency_reaction_ms summary' in text
         assert "darpa_pipeline_screens_analyzed_total" in text
         assert "darpa_trace_dropped_spans_total 0" in text
+        # Prometheus text format: each family is declared exactly once,
+        # and stage latency comes only from the span-derived summaries.
+        types = [line.split()[2:] for line in text.splitlines()
+                 if line.startswith("# TYPE ")]
+        families = [family for family, _ in types]
+        assert len(families) == len(set(families))
+        assert "histogram" not in {kind for _, kind in types}
 
     def test_trace_then_top_roundtrip(self, tmp_path, capsys):
         trace_path = tmp_path / "trace.jsonl"
