@@ -4,7 +4,8 @@ These use pytest-benchmark's repeated timing (no pedantic one-shots):
 the conv forward pass, the IoU matrix, NMS, screen rendering, the
 view-tree raster of corpus screens, three devices' noisy screenshots in
 turn, the detector-input resize, box refinement, oracle-detector DARPA
-sessions (the simulated-clock event loop, debounce and decoration), and
+sessions (the simulated-clock event loop, debounce and decoration), a
+cold build of the Table VI fleet (the synthetic data generator), and
 the end-to-end per-frame detection latency that the paper's overhead
 model depends on.  The plan-forward benchmark additionally persists its
 timings to ``BENCH_kernels.json`` at the repository root (override the
@@ -21,7 +22,7 @@ import pytest
 
 from repro.android import Device, Screen, View, WindowManager, render_screen
 from repro.android.view import Shape
-from repro.bench import print_table
+from repro.bench import experiments, print_table
 from repro.bench.experiments import build_runtime_fleet, run_darpa_session
 from repro.bench.kernels import _best_of_ms, run_kernel_bench
 from repro.datagen import build_aui_screen, build_corpus
@@ -174,6 +175,21 @@ def test_micro_oracle_session(benchmark):
     screens = benchmark(sessions)
     assert sum(screens) > 0
     assert sessions() == screens
+
+
+def test_micro_cold_fleet(benchmark):
+    """One cold build of the Table VI fleet, ``build_runtime_fleet(100,
+    seed=0)``, with the corpus memo cleared first as every hostbench
+    set-up clears it: the app profiles, the sample specs and about 700
+    generated view trees, none of them rendered."""
+    def cold_fleet():
+        experiments._corpus_memo.clear()
+        return build_runtime_fleet(100, seed=0)
+
+    fleet = benchmark(cold_fleet)
+    assert len(fleet) == 100
+    assert all(session.aui_screens and session.non_aui_screens
+               for session in fleet)
 
 
 def test_micro_detect_screen_latency(benchmark, trained_model, screen_image):

@@ -35,6 +35,10 @@ class PerfOp(Enum):
     DECORATION = "decoration"
     APP_FRAME = "app_frame"
 
+    #: Members hash by identity, in C: ``PerfMeter.record`` looks one up
+    #: per charge, and ``Enum``'s own ``__hash__`` is Python code.
+    __hash__ = object.__hash__
+
 
 @dataclass(frozen=True)
 class DeviceProfile:

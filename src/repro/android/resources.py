@@ -16,6 +16,8 @@ from typing import Optional
 
 import numpy as np
 
+from repro.scalars import pick_many
+
 
 class ResourceIdPolicy(Enum):
     """How an app names its view resources."""
@@ -49,8 +51,7 @@ _OBFUSCATION_ALPHABET = string.ascii_lowercase + string.digits
 def obfuscate_entry(entry: str, rng: np.random.Generator, length: int = 3) -> str:
     """Replace a readable entry name with a ProGuard-style short name."""
     del entry  # the readable name must not leak into the result
-    chars = rng.choice(list(_OBFUSCATION_ALPHABET), size=length)
-    return "".join(chars)
+    return "".join(pick_many(rng, _OBFUSCATION_ALPHABET, length))
 
 
 def make_resource_id(

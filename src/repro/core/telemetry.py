@@ -501,8 +501,10 @@ def merge_registry_snapshots(
     snapshots: Sequence[Mapping[str, object]]) -> Dict[str, object]:
     """Fold per-session :class:`MetricsRegistry` snapshots into one.
 
-    Counters add; gauges are last-write-wins in the given order (feed
-    snapshots in global session order).
+    Counters add.  A gauge merges to its maximum over the sessions
+    that report it, so the fleet shows the worst breaker state any
+    session ended in (``darpa.breaker.state``) and the largest screen
+    cache (``darpa.cache.entries``), whatever the snapshot order.
     """
     counters: Dict[str, int] = {}
     gauges: Dict[str, float] = {}
@@ -510,7 +512,8 @@ def merge_registry_snapshots(
         for name, value in snap.get("counters", {}).items():  # type: ignore[union-attr]
             counters[name] = counters.get(name, 0) + int(value)
         for name, value in snap.get("gauges", {}).items():  # type: ignore[union-attr]
-            gauges[name] = float(value)
+            value = float(value)
+            gauges[name] = max(gauges.get(name, value), value)
     return {"counters": counters, "gauges": gauges}
 
 

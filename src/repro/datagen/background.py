@@ -18,22 +18,23 @@ from repro.geometry.rect import Rect
 from repro.imaging.color import Color, PALETTE, mix
 from repro.android.resources import ResourceIdPolicy, make_resource_id
 from repro.android.view import View, ViewGroup
+from repro.scalars import pick
 
-_WORDS = (
+_WORDS = tuple((
     "daily deals super sale flash news video music live hot top new"
     " best free vip plus home mine cart shop feed game learn read"
-).split()
+).split())
 
 _THUMB_COLORS = ("blue", "teal", "green", "orange", "purple", "pink",
                  "indigo", "cyan", "amber")
 
 
 def _text(rng: np.random.Generator, n_words: int) -> str:
-    return " ".join(rng.choice(_WORDS) for _ in range(n_words))
+    return " ".join(pick(rng, _WORDS) for _ in range(n_words))
 
 
 def _tint(rng: np.random.Generator) -> Color:
-    base = PALETTE[str(rng.choice(_THUMB_COLORS))]
+    base = PALETTE[pick(rng, _THUMB_COLORS)]
     return mix(base, PALETTE["white"], float(rng.uniform(0.0, 0.35)))
 
 
@@ -152,7 +153,7 @@ def build_background_content(
     """
     if layout and layout not in _LAYOUTS:
         raise ValueError(f"unknown layout {layout!r}; expected one of {LAYOUT_NAMES}")
-    name = layout or str(rng.choice(list(_LAYOUTS)))
+    name = layout or pick(rng, LAYOUT_NAMES)
     root = ViewGroup(bounds=Rect(0, 0, width, height),
                      bg_color=PALETTE["white"],
                      resource_id=make_resource_id(package, "root", ResourceIdPolicy.READABLE))

@@ -22,6 +22,7 @@ from repro.android.window import Screen, WindowManager
 from repro.android.renderer import render_screen
 from repro.datagen.specs import AuiType, SampleSpec, make_sample_specs
 from repro.datagen.templates import build_aui_screen, build_non_aui_screen
+from repro.scalars import pick_weighted, weights_cdf
 
 #: Mi-Store-leaderboard-like category mix for D_app.
 APP_CATEGORIES: Tuple[Tuple[str, float], ...] = (
@@ -45,6 +46,18 @@ ID_POLICY_MIX: Tuple[Tuple[ResourceIdPolicy, float], ...] = (
     (ResourceIdPolicy.OBFUSCATED, 0.57),
     (ResourceIdPolicy.DYNAMIC, 0.25),
 )
+
+
+def _mix_cdf(mix: Tuple[Tuple[object, float], ...]) -> Tuple[float, ...]:
+    """Cdf of a mix's weights, normalised to sum to one first."""
+    p = np.array([w for _, w in mix])
+    return weights_cdf(p / p.sum())
+
+
+_CATEGORIES = tuple(c for c, _ in APP_CATEGORIES)
+_CATEGORY_CDF = _mix_cdf(APP_CATEGORIES)
+_POLICIES = tuple(p for p, _ in ID_POLICY_MIX)
+_POLICY_CDF = _mix_cdf(ID_POLICY_MIX)
 
 N_APPS = 632
 #: Screenshot provenance (Section III-A): 7,884 of 8,855 raw shots came
@@ -142,16 +155,10 @@ class Corpus:
 def build_app_dataset(seed: int = 0, n_apps: int = N_APPS) -> List[AppProfile]:
     """Mint the simulated ``D_app`` deterministically."""
     rng = np.random.default_rng(seed)
-    categories = [c for c, _ in APP_CATEGORIES]
-    cat_p = np.array([p for _, p in APP_CATEGORIES])
-    cat_p = cat_p / cat_p.sum()
-    policies = [p for p, _ in ID_POLICY_MIX]
-    pol_p = np.array([w for _, w in ID_POLICY_MIX])
-    pol_p = pol_p / pol_p.sum()
     apps = []
     for i in range(n_apps):
-        category = str(rng.choice(categories, p=cat_p))
-        policy = policies[int(rng.choice(len(policies), p=pol_p))]
+        category = pick_weighted(rng, _CATEGORIES, _CATEGORY_CDF)
+        policy = pick_weighted(rng, _POLICIES, _POLICY_CDF)
         apps.append(
             AppProfile(
                 package=f"com.{category}.app{i:03d}",

@@ -24,6 +24,7 @@ from repro.android.view import SemanticRole, Shape, View, ViewGroup
 from repro.android.apps import ScreenState
 from repro.datagen.background import build_background_content
 from repro.datagen.specs import AuiType, SampleSpec
+from repro.scalars import clip, pick, pick_weighted, weights_cdf
 
 WINDOW_W = 360
 WINDOW_H = 568
@@ -35,6 +36,15 @@ _UPO_TEXTS = ("skip", "close", "later", "no thanks", "cancel", "deny")
 #: Bare text links use short labels — "no thanks" renders as a wide
 #: banner at UPO sizes, which no real app does for a dismiss link.
 _UPO_LINK_TEXTS = ("skip", "close", "later", "deny")
+_DECOY_TEXTS = ("learn more", "see rules", "details")
+#: Relative heights of an off-centre AGO and of a peripheral UPO.
+_AGO_EDGE_YS = (0.18, 0.88)
+_UPO_STRIP_YS = (0.78, 0.86)
+#: Cornered UPOs: top-right, top-left, bottom-right.
+_CORNER_CDF = weights_cdf((0.72, 0.16, 0.12))
+_UPO_STYLES = ("cross", "chip", "text")
+_UPO_STYLE_CDF = weights_cdf((0.7, 0.25, 0.05))
+_AD_TAG_XS = (6, WINDOW_W - 40)
 
 
 @dataclass
@@ -50,11 +60,11 @@ class _Minter:
 
 
 def _accent(rng: np.random.Generator) -> Color:
-    return PALETTE[str(rng.choice(AGO_ACCENTS))]
+    return PALETTE[pick(rng, AGO_ACCENTS)]
 
 
 def _muted(rng: np.random.Generator) -> Color:
-    return PALETTE[str(rng.choice(UPO_MUTED))]
+    return PALETTE[pick(rng, UPO_MUTED)]
 
 
 def _window_height(fullscreen: bool) -> int:
@@ -74,7 +84,7 @@ def _ago_rect(rng: np.random.Generator, central: bool, height: int) -> Rect:
         cy = height * float(rng.uniform(0.42, 0.68))
     else:
         cx = WINDOW_W / 2 + float(rng.uniform(-40, 40))
-        cy = height * float(rng.choice([0.18, 0.88])) + float(rng.uniform(-10, 10))
+        cy = height * pick(rng, _AGO_EDGE_YS) + float(rng.uniform(-10, 10))
     return Rect.from_center(cx, cy, w, h)
 
 
@@ -102,13 +112,13 @@ def _add_ago(root: View, rng: np.random.Generator, spec: SampleSpec,
         view = View(bounds=rect, shape=Shape.CIRCLE, bg_color=color,
                     clickable=True, role=SemanticRole.AGO,
                     resource_id=mint("btn_action"),
-                    text=text or str(rng.choice(_AGO_TEXTS)), text_size=13,
+                    text=text or pick(rng, _AGO_TEXTS), text_size=13,
                     text_color=PALETTE["white"])
     else:
         view = View(bounds=rect, shape=Shape.ROUNDED, bg_color=color,
                     corner_radius=rect.h / 2.2, clickable=True,
                     role=SemanticRole.AGO, resource_id=mint("btn_action"),
-                    text=text or str(rng.choice(_AGO_TEXTS)),
+                    text=text or pick(rng, _AGO_TEXTS),
                     text_size=15, text_color=PALETTE["white"])
     root.add_child(view)
     return rect
@@ -130,7 +140,7 @@ def _add_decoy_button(root: View, rng: np.random.Generator, mint: _Minter,
     color = mix(_accent(rng), PALETTE["white"], float(rng.uniform(0.1, 0.4)))
     root.add_child(View(bounds=rect, shape=Shape.ROUNDED,
                         corner_radius=rect.h / 2.2, bg_color=color,
-                        clickable=True, text=str(rng.choice(("learn more", "see rules", "details"))),
+                        clickable=True, text=pick(rng, _DECOY_TEXTS),
                         text_size=11, text_color=PALETTE["white"],
                         resource_id=mint("btn_secondary")))
 
@@ -139,26 +149,24 @@ def _upo_rect(rng: np.random.Generator, corner: bool, height: int,
               size: float) -> Rect:
     if corner:
         margin = float(rng.uniform(8, 26))
-        corners = [
+        corners = (
             (WINDOW_W - margin - size, margin),               # top-right
             (margin, margin),                                 # top-left
             (WINDOW_W - margin - size, height - margin - size),  # bottom-right
-        ]
-        weights = [0.72, 0.16, 0.12]
-        idx = int(rng.choice(len(corners), p=weights))
-        x, y = corners[idx]
+        )
+        x, y = pick_weighted(rng, corners, _CORNER_CDF)
     else:
         # Peripheral but not cornered: a thin strip above/below center.
         x = WINDOW_W / 2 + float(rng.uniform(-70, 70)) - size / 2
-        y = height * float(rng.choice([0.78, 0.86])) - size / 2
+        y = height * pick(rng, _UPO_STRIP_YS) - size / 2
     return Rect(x, y, size, size)
 
 
 def _clamp_to_window(rect: Rect, height: int, margin: float = 2.0) -> Rect:
     """Keep an option fully on screen; off-screen options would be
     unannotatable (and unclickable) on a real device."""
-    x = float(np.clip(rect.x, margin, WINDOW_W - margin - rect.w))
-    y = float(np.clip(rect.y, margin, height - margin - rect.h))
+    x = clip(rect.x, margin, WINDOW_W - margin - rect.w)
+    y = clip(rect.y, margin, height - margin - rect.h)
     return Rect(x, y, rect.w, rect.h)
 
 
@@ -179,7 +187,7 @@ def _add_upo(root: View, rng: np.random.Generator, spec: SampleSpec,
             rect = _upo_rect(rng, corner, height, size)
             if all(rect.inflated(6).intersection(o).is_empty() for o in occupied + rects):
                 break
-        style = rng.choice(["cross", "chip", "text"], p=[0.7, 0.25, 0.05])
+        style = pick_weighted(rng, _UPO_STYLES, _UPO_STYLE_CDF)
         if style == "cross":
             rect = _clamp_to_window(rect, height).rounded()
             view = View(bounds=rect, shape=Shape.CIRCLE,
@@ -195,7 +203,7 @@ def _add_upo(root: View, rng: np.random.Generator, spec: SampleSpec,
             view = View(bounds=chip, shape=Shape.ROUNDED,
                         corner_radius=chip.h / 2, bg_color=_muted(rng),
                         bg_alpha=alpha, clickable=True,
-                        text=str(rng.choice(_UPO_TEXTS)),
+                        text=pick(rng, _UPO_TEXTS),
                         text_size=max(6.0, chip.h * 0.45),
                         text_color=PALETTE["dark_gray"], text_alpha=alpha,
                         role=SemanticRole.UPO, resource_id=mint("btn_skip"))
@@ -203,7 +211,7 @@ def _add_upo(root: View, rng: np.random.Generator, spec: SampleSpec,
             # Bare text link: bounds sized to the rendered ink so the
             # annotation matches what a labeler would draw around it.
             from repro.imaging.text import pseudo_text_width
-            text = str(rng.choice(_UPO_LINK_TEXTS))
+            text = pick(rng, _UPO_LINK_TEXTS)
             text_size = max(6.0, min(size * 0.8, 16.0))
             ink_w = pseudo_text_width(text, text_size)
             label = _clamp_to_window(
@@ -264,8 +272,8 @@ def _poster(root: ViewGroup, rng: np.random.Generator, height: int) -> None:
 def _ad_tag(root: ViewGroup, rng: np.random.Generator, height: int,
             mint: _Minter) -> None:
     """The legally-required but barely-noticeable "advertisement" tag."""
-    x = float(rng.choice([6, WINDOW_W - 40]))
-    y = float(rng.choice([6, height - 16]))
+    x = float(pick(rng, _AD_TAG_XS))
+    y = float(pick(rng, (6, height - 16)))
     root.add_child(View(bounds=Rect(x, y, 34, 10), text="AD",
                         text_size=7, text_color=PALETTE["gray"],
                         text_alpha=0.55, resource_id=mint("tv_ad_tag")))

@@ -14,6 +14,8 @@ from typing import Dict, Tuple
 
 import numpy as np
 
+from repro.scalars import clip
+
 
 @dataclass(frozen=True)
 class Color:
@@ -38,7 +40,7 @@ class Color:
 
     @classmethod
     def from_array(cls, arr: np.ndarray) -> "Color":
-        r, g, b = (float(np.clip(v, 0.0, 1.0)) for v in arr[:3])
+        r, g, b = (clip(v, 0.0, 1.0) for v in arr[:3])
         return cls(r, g, b)
 
     def as_array(self) -> np.ndarray:
@@ -55,7 +57,7 @@ class Color:
 
 def mix(a: Color, b: Color, t: float) -> Color:
     """Linear interpolation from ``a`` (t=0) to ``b`` (t=1)."""
-    t = float(np.clip(t, 0.0, 1.0))
+    t = clip(t, 0.0, 1.0)
     return Color(
         a.r + (b.r - a.r) * t,
         a.g + (b.g - a.g) * t,

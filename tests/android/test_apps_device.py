@@ -1,5 +1,7 @@
 """Tests for simulated apps, Monkey, the perf meter, and ADB dumps."""
 
+import enum
+
 import numpy as np
 import pytest
 
@@ -202,6 +204,26 @@ class TestPerfMeter:
         report = meter.report(1000)
         assert report.memory_mb == pytest.approx(4291.96)
         assert report.counts["screenshot"] == 0
+
+    def test_record_does_not_call_enum_hash(self, monkeypatch):
+        # Every charge of every session goes through record(): its op
+        # lookup must stay in C, not in Enum's Python-level __hash__.
+        calls = []
+        enum_hash = enum.Enum.__hash__
+
+        def counting_hash(member):
+            calls.append(member)
+            return enum_hash(member)
+
+        meter = PerfMeter()
+        monkeypatch.setattr(enum.Enum, "__hash__", counting_hash)
+        for op in PerfOp:
+            meter.record(op, 2)
+        meter.record(PerfOp.INFERENCE)
+        assert calls == []
+        assert meter.count(PerfOp.INFERENCE) == 3
+        assert meter.counts() == {op.value: 3 if op is PerfOp.INFERENCE else 2
+                                  for op in PerfOp}
 
 
 class TestAdbDump:

@@ -278,13 +278,16 @@ class TestFleetTelemetry:
 
 
 class TestRegistryMerge:
-    def test_counters_add_gauges_last_write(self):
-        merged = merge_registry_snapshots([
-            {"counters": {"a": 1}, "gauges": {"g": 1.0}},
+    def test_counters_add_gauges_take_the_max(self):
+        snapshots = [
+            {"counters": {"a": 1}, "gauges": {"g": 1.0, "h": -2.0}},
             {"counters": {"a": 2, "b": 5}, "gauges": {"g": 3.5}},
-        ])
+            {"counters": {}, "gauges": {"g": 0.0, "h": -3.0}},
+        ]
+        merged = merge_registry_snapshots(snapshots)
         assert merged["counters"] == {"a": 3, "b": 5}
-        assert merged["gauges"] == {"g": 3.5}
+        assert merged["gauges"] == {"g": 3.5, "h": -2.0}
+        assert merge_registry_snapshots(snapshots[::-1]) == merged
 
     def test_prometheus_lines_leave_health_counters_to_the_fleet(self):
         # repro metrics prints these after FleetTelemetry's lines, which

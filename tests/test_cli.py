@@ -116,6 +116,13 @@ class TestTelemetryCommands:
         assert len(families) == len(set(families))
         assert "histogram" not in {kind for _, kind in types}
 
+    def test_metrics_storm_gauges_are_the_fleet_worst(self, capsys):
+        # Sessions 1, 3, 5 and 6 of this fleet end with an open breaker
+        # and session 7 with a closed one: the fleet gauge is the worst.
+        assert main(["metrics", "--apps", "8", "--storm",
+                     "--workers", "1"]) == 0
+        assert "darpa_breaker_state 2.0" in capsys.readouterr().out.splitlines()
+
     def test_trace_then_top_roundtrip(self, tmp_path, capsys):
         trace_path = tmp_path / "trace.jsonl"
         assert main(["trace", "--output", str(trace_path)]) == 0
