@@ -30,7 +30,11 @@ from repro.android.faults import (
 from repro.android.monkey import Monkey
 from repro.android.resources import ResourceIdPolicy
 from repro.core import DarpaConfig, DarpaService, ScreenshotPolicy
-from repro.core.observability import DROPPED_SPANS_COUNTER, Tracer
+from repro.core.observability import (
+    DROPPED_SPANS_COUNTER,
+    FAULT_COUNTERS,
+    Tracer,
+)
 from repro.datagen import build_corpus, build_non_aui_screen, build_aui_screen, split_corpus
 from repro.datagen.corpus import Corpus
 from repro.vision import (
@@ -273,8 +277,8 @@ class SessionResult:
     frauddroid_verdicts: List[Tuple[bool, bool]] = field(default_factory=list)
     auis_shown: int = 0
     auis_flagged: int = 0
-    #: DarpaStats resilience counters (screenshot_failures, retries,
-    #: breaker_opens, fallback_detections, deadline_skips, ...).
+    #: The DarpaStats fault counters
+    #: (:data:`~repro.core.observability.FAULT_COUNTERS`) by name.
     resilience: Dict[str, int] = field(default_factory=dict)
     #: FaultInjector counters — what the chaos plan actually injected.
     injected: Dict[str, int] = field(default_factory=dict)
@@ -284,10 +288,10 @@ class SessionResult:
     #: rebuilds :attr:`perf` from these bit-for-bit.
     spans: Optional[List[Dict]] = None
     #: Counters and gauges of a traced run: the service's
-    #: :class:`~repro.core.observability.MetricsRegistry` snapshot (none
-    #: in ``baseline`` mode) plus ``darpa.trace.dropped_spans``, the
-    #: spans the tracer's ring buffer evicted.  Empty when tracing was
-    #: off.  Per-stage counts and costs live in :attr:`spans`.
+    #: ``DarpaStats.metrics()`` (none in ``baseline`` mode) plus
+    #: ``darpa.trace.dropped_spans``, the spans the tracer's ring buffer
+    #: evicted.  Empty when tracing was off.  Per-stage counts and costs
+    #: live in :attr:`spans`.
     metrics: Dict = field(default_factory=dict)
 
 
@@ -507,16 +511,8 @@ def run_darpa_session(
 
     resilience: Dict[str, int] = {}
     if service is not None:
-        stats = service.stats
-        resilience = {
-            "screenshot_failures": stats.screenshot_failures,
-            "retries": stats.retries,
-            "detector_failures": stats.detector_failures,
-            "breaker_opens": stats.breaker_opens,
-            "fallback_detections": stats.fallback_detections,
-            "deadline_skips": stats.deadline_skips,
-            "overlay_rejections": stats.overlay_rejections,
-        }
+        resilience = {name: getattr(service.stats, name)
+                      for name in FAULT_COUNTERS}
     injected: Dict[str, int] = {}
     faults = getattr(device, "faults", None)
     if faults is not None:
@@ -526,7 +522,7 @@ def run_darpa_session(
     metrics: Dict = {}
     if tracer is not None:
         spans = tracer.export()
-        metrics = (service.stats.registry.snapshot() if service is not None
+        metrics = (service.stats.metrics() if service is not None
                    else {"counters": {}, "gauges": {}})
         metrics["counters"][DROPPED_SPANS_COUNTER] = tracer.dropped
 

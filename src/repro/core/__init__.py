@@ -18,9 +18,6 @@ from repro.core.debounce import CutoffDebouncer
 from repro.core.decorator import ViewDecorator
 from repro.core.observability import (
     NULL_TRACER,
-    Counter,
-    Gauge,
-    MetricsRegistry,
     NullTracer,
     PlanProfiler,
     Span,
@@ -51,7 +48,6 @@ from repro.core.daemon import (
     LaneConfig,
     RejectionRecord,
     TokenBucket,
-    serve_fleet,
 )
 
 __all__ = [
@@ -70,9 +66,6 @@ __all__ = [
     "DarpaStats",
     "ScreenFingerprintCache",
     "NULL_TRACER",
-    "Counter",
-    "Gauge",
-    "MetricsRegistry",
     "NullTracer",
     "PlanProfiler",
     "Span",
@@ -89,5 +82,4 @@ __all__ = [
     "LaneConfig",
     "RejectionRecord",
     "TokenBucket",
-    "serve_fleet",
 ]

@@ -970,19 +970,6 @@ class DarpaDaemon:
             merge_trace_artifacts(self.out_dir)
 
 
-def serve_fleet(sessions: Sequence, detector, **kwargs) -> DaemonReport:
-    """One-call convenience wrapper: build a daemon and run it.
-
-    Keyword arguments split between the :class:`DarpaDaemon`
-    constructor and :meth:`DarpaDaemon.run` (``resume``,
-    ``drain_at_ms``, ``max_batches``).
-    """
-    run_keys = ("resume", "drain_at_ms", "max_batches")
-    run_kwargs = {key: kwargs.pop(key) for key in run_keys if key in kwargs}
-    daemon = DarpaDaemon(sessions, detector, **kwargs)
-    return daemon.run(**run_kwargs)
-
-
 __all__ = [
     "JOURNAL_VERSION",
     "DAEMON_ARTIFACT_VERSION",
@@ -999,5 +986,4 @@ __all__ = [
     "DaemonReport",
     "CoalescingCoordinator",
     "DarpaDaemon",
-    "serve_fleet",
 ]

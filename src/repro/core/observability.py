@@ -13,10 +13,10 @@ effect on any measured number:
   screen fingerprint, cache hit/miss, retry attempt and breaker state.
   Finished spans land in a bounded in-memory ring buffer and export as
   deterministic JSONL;
-- :class:`MetricsRegistry` provides named counters and gauges.  The
-  pipeline's ``DarpaStats`` is a thin compatibility view over one of
-  these registries.  Per-stage counts and latencies are not kept here:
-  they are read off the span dump (:class:`SpanIndex`);
+- :data:`COUNTER_METRICS` names every counter of the pipeline's
+  per-session record (``repro.core.pipeline.DarpaStats``) for export.
+  Per-stage counts and latencies are not counters: they are read off
+  the span dump (:class:`SpanIndex`);
 - :class:`PlanProfiler` hooks :class:`repro.vision.nn.infer.InferencePlan`
   execution, attributing per-step cost-model charges (MAC-weighted
   shares of the inference CPU budget) to the enclosing span;
@@ -61,14 +61,38 @@ from repro.android import device as _device
 from repro.android.device import PerfMeter, PerfOp, PerfReport
 
 # ---------------------------------------------------------------------------
-# Metric naming scheme (see DESIGN.md "Observability"):
+# Metric naming (see DESIGN.md "Metric naming"):
 #
-#   darpa.pipeline.<counter>       — the DarpaStats compatibility counters
-#   darpa.resilience.<counter>     — breaker transition counters
+#   darpa.pipeline.<counter>       — DarpaStats work and fault counters
+#   darpa.resilience.<counter>     — DarpaStats breaker transition counters
 #   darpa.trace.dropped_spans      — spans the tracer ring buffer evicted
 #   darpa.breaker.state            — gauge: 0 closed / 1 half-open / 2 open
 #   darpa.cache.entries            — gauge: live fingerprint-cache entries
 # ---------------------------------------------------------------------------
+
+#: The ``darpa.pipeline`` counters that count faults and the pipeline's
+#: answers to them, all zero on a fault-free run; a session's
+#: ``SessionResult.resilience`` holds exactly these.
+FAULT_COUNTERS: Tuple[str, ...] = (
+    "screenshot_failures", "retries", "detector_failures", "breaker_opens",
+    "fallback_detections", "deadline_skips", "overlay_rejections")
+
+#: Every ``DarpaStats`` counter and its metric name, in export order.
+COUNTER_METRICS: Dict[str, str] = {
+    **{name: f"darpa.pipeline.{name}" for name in (
+        "events_seen", "screens_analyzed", "auis_flagged",
+        "decorations_drawn", "bypass_clicks", "cache_hits", "cache_misses",
+    ) + FAULT_COUNTERS},
+    **{name: f"darpa.resilience.{name}" for name in (
+        "breaker_opened", "breaker_half_opened", "breaker_closed",
+        "probe_successes", "probe_failures")},
+}
+
+#: Every ``DarpaStats`` gauge and its metric name, in export order.
+GAUGE_METRICS: Dict[str, str] = {
+    "breaker_state": "darpa.breaker.state",
+    "cache_entries": "darpa.cache.entries",
+}
 
 #: Session metrics counter holding :attr:`Tracer.dropped`, the spans the
 #: ring buffer evicted.  Silent drops would corrupt span-derived totals,
@@ -99,93 +123,6 @@ def op_cpu_ms() -> Dict[str, float]:
 def ops_cpu_ms(ops: Mapping[str, int], costs: Mapping[str, float]) -> float:
     """Cost-model CPU of one span's op charges, summed in charge order."""
     return sum(int(n) * costs[op] for op, n in ops.items())
-
-
-# ---------------------------------------------------------------------------
-# Metrics
-# ---------------------------------------------------------------------------
-
-class Counter:
-    """A monotonic-by-convention named counter.
-
-    ``value`` is settable so the ``DarpaStats`` compatibility view can
-    expose counters as plain read/write attributes (``stats.retries += 1``
-    keeps working); new code should prefer :meth:`inc`.
-    """
-
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str):
-        self.name = name
-        self.value = 0
-
-    def inc(self, n: int = 1) -> None:
-        self.value += n
-
-    def reset(self) -> None:
-        self.value = 0
-
-
-class Gauge:
-    """A last-write-wins instantaneous value."""
-
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str):
-        self.name = name
-        self.value = 0.0
-
-    def set(self, value: float) -> None:
-        self.value = float(value)
-
-    def reset(self) -> None:
-        self.value = 0.0
-
-
-class MetricsRegistry:
-    """A named home for counters and gauges.
-
-    Instruments are created on first touch and live for the registry's
-    lifetime; iteration order is creation order, so snapshots of two
-    identical runs are byte-identical when serialized with sorted keys.
-    """
-
-    def __init__(self) -> None:
-        self._counters: Dict[str, Counter] = {}
-        self._gauges: Dict[str, Gauge] = {}
-
-    def counter(self, name: str) -> Counter:
-        inst = self._counters.get(name)
-        if inst is None:
-            inst = self._counters[name] = Counter(name)
-        return inst
-
-    def gauge(self, name: str) -> Gauge:
-        inst = self._gauges.get(name)
-        if inst is None:
-            inst = self._gauges[name] = Gauge(name)
-        return inst
-
-    @property
-    def counters(self) -> Dict[str, Counter]:
-        return dict(self._counters)
-
-    @property
-    def gauges(self) -> Dict[str, Gauge]:
-        return dict(self._gauges)
-
-    def snapshot(self) -> Dict[str, object]:
-        """A plain-dict, JSON-ready dump of every instrument."""
-        return {
-            "counters": {n: c.value for n, c in self._counters.items()},
-            "gauges": {n: g.value for n, g in self._gauges.items()},
-        }
-
-    def reset(self) -> None:
-        for c in self._counters.values():
-            c.reset()
-        for g in self._gauges.values():
-            g.reset()
 
 
 # ---------------------------------------------------------------------------

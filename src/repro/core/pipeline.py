@@ -31,8 +31,8 @@ which ``benchmarks/bench_chaos.py`` asserts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Protocol, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, List, Optional, Protocol, Sequence, Tuple
 
 import numpy as np
 
@@ -47,8 +47,9 @@ from repro.core.config import DarpaConfig
 from repro.core.debounce import CutoffDebouncer
 from repro.core.decorator import ViewDecorator
 from repro.core.observability import (
+    COUNTER_METRICS,
+    GAUGE_METRICS,
     NULL_TRACER,
-    MetricsRegistry,
     PlanProfiler,
     Tracer,
 )
@@ -57,8 +58,8 @@ from repro.core.screencache import ScreenFingerprintCache
 from repro.core.security import ScreenshotPolicy
 
 #: Gauge encoding of the detector breaker state.
-_BREAKER_GAUGE = {BreakerState.CLOSED: 0, BreakerState.HALF_OPEN: 1,
-                  BreakerState.OPEN: 2}
+_BREAKER_GAUGE = {BreakerState.CLOSED: 0.0, BreakerState.HALF_OPEN: 1.0,
+                  BreakerState.OPEN: 2.0}
 
 
 class Detector(Protocol):
@@ -94,54 +95,6 @@ class AnalysisRecord:
                    for d in self.detections)
 
 
-#: Every DarpaStats counter, in declaration order.  The registry names
-#: are ``darpa.pipeline.<name>``; the attribute view keeps the historic
-#: field names so call sites (and their ``+=``) are unchanged.
-STAT_COUNTERS: Tuple[str, ...] = (
-    "events_seen",
-    "screens_analyzed",
-    "auis_flagged",
-    "decorations_drawn",
-    "bypass_clicks",
-    # Settled screens answered from the fingerprint cache (no CNN run)
-    # vs. screens that went through the detector.
-    "cache_hits",
-    "cache_misses",
-    # -- resilience counters (all zero on a fault-free run) -------------
-    # takeScreenshot calls that raised (throttled or failed).
-    "screenshot_failures",
-    # Backoff retries scheduled after a failed capture.
-    "retries",
-    # Detector inferences that raised.
-    "detector_failures",
-    # CLOSED/HALF_OPEN -> OPEN transitions of the detector breaker.
-    "breaker_opens",
-    # Analyses answered by the FraudDroid heuristic instead of the CNN.
-    "fallback_detections",
-    # Analyses abandoned by the per-screen watchdog deadline.
-    "deadline_skips",
-    # Decoration overlay mounts the WindowManager refused.
-    "overlay_rejections",
-)
-
-#: Breaker transition events exported as ``darpa.resilience.<name>``
-#: registry counters: every CLOSED/OPEN/HALF_OPEN edge plus the outcome
-#: of each half-open probe.  Pre-created (so they appear, zero-valued,
-#: in every snapshot) and all zero on a fault-free run.
-RESILIENCE_COUNTERS: Tuple[str, ...] = (
-    # CLOSED/HALF_OPEN -> OPEN (same edges DarpaStats.breaker_opens
-    # counts; duplicated here so the resilience namespace is complete).
-    "breaker_opened",
-    # OPEN -> HALF_OPEN cooldown expiries (a probe is now allowed).
-    "breaker_half_opened",
-    # HALF_OPEN/OPEN -> CLOSED recoveries.
-    "breaker_closed",
-    # Half-open probe inferences that succeeded (breaker re-closed).
-    "probe_successes",
-    # Half-open probe inferences that failed (breaker re-opened).
-    "probe_failures",
-)
-
 #: CircuitBreaker listener event -> resilience counter name.
 _BREAKER_EVENT_COUNTER = {
     "opened": "breaker_opened",
@@ -152,67 +105,85 @@ _BREAKER_EVENT_COUNTER = {
 }
 
 
+@dataclass(init=False)
 class DarpaStats:
-    """Counters the evaluation section reads off a run.
+    """One session's counters, gauges and analysis records.
 
-    Historically an ad-hoc dataclass of int fields; now a thin
-    compatibility view over a :class:`MetricsRegistry` — each attribute
-    in :data:`STAT_COUNTERS` reads and writes the registry counter
-    ``darpa.pipeline.<name>``, so ``stats.retries += 1`` and the
-    registry's ``snapshot()`` always agree.  ``records`` stays a plain
-    list of :class:`AnalysisRecord`.
-
-    Counters are **never reset implicitly** — not by
-    ``DarpaService.stop()``/``start()`` cycles — only by an explicit
-    :meth:`reset` (see ``DarpaService.reset_stats``).
+    The evaluation section reads its numbers off these counters, and
+    :meth:`metrics` exports them under the names in
+    :data:`repro.core.observability.COUNTER_METRICS`.  Every field is
+    run state, so the constructor takes no arguments.  Counters are
+    **never reset implicitly** — not by ``DarpaService.stop()``/
+    ``start()`` cycles — only by an explicit :meth:`reset` (see
+    ``DarpaService.reset_stats``).
     """
 
-    def __init__(self) -> None:
-        self.registry = MetricsRegistry()
-        self.records: List[AnalysisRecord] = []
-        # Pre-create every counter so snapshot key order is stable and
-        # zero-valued counters still appear in exports.
-        for name in STAT_COUNTERS:
-            self.registry.counter(f"darpa.pipeline.{name}")
+    events_seen: int = 0
+    screens_analyzed: int = 0
+    auis_flagged: int = 0
+    decorations_drawn: int = 0
+    bypass_clicks: int = 0
+    # Settled screens answered from the fingerprint cache (no CNN run)
+    # vs. screens that went through the detector.
+    cache_hits: int = 0
+    cache_misses: int = 0
+    # -- fault counters (all zero on a fault-free run) ------------------
+    # takeScreenshot calls that raised (throttled or failed).
+    screenshot_failures: int = 0
+    # Backoff retries scheduled after a failed capture.
+    retries: int = 0
+    # Detector inferences that raised.
+    detector_failures: int = 0
+    # CLOSED/HALF_OPEN -> OPEN transitions of the detector breaker.
+    breaker_opens: int = 0
+    # Analyses answered by the FraudDroid heuristic instead of the CNN.
+    fallback_detections: int = 0
+    # Analyses abandoned by the per-screen watchdog deadline.
+    deadline_skips: int = 0
+    # Decoration overlay mounts the WindowManager refused.
+    overlay_rejections: int = 0
+    # -- breaker transitions (all zero on a fault-free run) -------------
+    # CLOSED/HALF_OPEN -> OPEN (the edges breaker_opens counts, kept
+    # here too so the resilience namespace is complete).
+    breaker_opened: int = 0
+    # OPEN -> HALF_OPEN cooldown expiries (a probe is now allowed).
+    breaker_half_opened: int = 0
+    # HALF_OPEN/OPEN -> CLOSED recoveries.
+    breaker_closed: int = 0
+    # Half-open probe inferences that succeeded (breaker re-closed).
+    probe_successes: int = 0
+    # Half-open probe inferences that failed (breaker re-opened).
+    probe_failures: int = 0
+    records: List[AnalysisRecord] = field(default_factory=list, repr=False)
+    # -- gauges: set after every analysis, None before the first --------
+    # Detector breaker: 0 closed / 1 half-open / 2 open.
+    breaker_state: Optional[float] = field(default=None, compare=False)
+    # Live fingerprint-cache entries (None while the cache is off).
+    cache_entries: Optional[float] = field(default=None, compare=False)
 
-    def snapshot(self) -> dict:
-        """Counter values keyed by the historic field names."""
-        return {name: getattr(self, name) for name in STAT_COUNTERS}
+    def __init__(self) -> None:
+        self.reset()
+
+    def metrics(self) -> Dict[str, Dict]:
+        """Every counter, and each gauge set so far, by metric name."""
+        gauges = {}
+        for name, metric in GAUGE_METRICS.items():
+            value = getattr(self, name)
+            if value is not None:
+                gauges[metric] = value
+        return {"counters": {metric: getattr(self, name)
+                             for name, metric in COUNTER_METRICS.items()},
+                "gauges": gauges}
 
     def reset(self) -> None:
-        """Zero every counter and drop the analysis records."""
-        for name in STAT_COUNTERS:
-            self.registry.counter(f"darpa.pipeline.{name}").reset()
+        """Zero every counter and drop the analysis records.
+
+        The gauges keep their last value: they describe the breaker and
+        the cache, which a reset leaves as they are.
+        """
+        for name in COUNTER_METRICS:
+            setattr(self, name, 0)
         self.records = []
-
-    def __eq__(self, other: object) -> bool:
-        # Value equality over counters + records, matching the historic
-        # dataclass semantics the parity tests rely on.
-        if not isinstance(other, DarpaStats):
-            return NotImplemented
-        return (self.snapshot() == other.snapshot()
-                and self.records == other.records)
-
-    def __repr__(self) -> str:
-        nonzero = {k: v for k, v in self.snapshot().items() if v}
-        return f"DarpaStats({nonzero}, records={len(self.records)})"
-
-
-def _stat_property(name: str) -> property:
-    full = f"darpa.pipeline.{name}"
-
-    def fget(self: DarpaStats) -> int:
-        return self.registry.counter(full).value
-
-    def fset(self: DarpaStats, value: int) -> None:
-        self.registry.counter(full).value = value
-
-    return property(fget, fset, doc=f"Compatibility view of {full!r}.")
-
-
-for _name in STAT_COUNTERS:
-    setattr(DarpaStats, _name, _stat_property(_name))
-del _name
 
 
 def _find_inference_plan(detector: object) -> Optional[object]:
@@ -288,10 +259,6 @@ class DarpaService:
             cooldown_ms=self.config.breaker_cooldown_ms,
             listener=self._on_breaker_transition,
         )
-        # Pre-create the transition counters so they export zero-valued
-        # (stable snapshot keys) instead of appearing on first flap.
-        for _cname in RESILIENCE_COUNTERS:
-            self.stats.registry.counter(f"darpa.resilience.{_cname}")
         self._fallback: Optional[FraudDroidScreenDetector] = None
         if self.config.fallback_to_heuristic:
             self._fallback = FraudDroidScreenDetector(device)
@@ -334,16 +301,12 @@ class DarpaService:
         This is the only way counters reset: lifecycle transitions never
         do it implicitly, so overlapping measurement windows can't
         silently lose or double-count work.  ``reset_perf=True`` also
-        resets the device's cost-model meter and the fingerprint-cache
-        hit/miss tallies, aligning every measurement surface on one
-        zero point.
+        resets the device's cost-model meter, aligning both measurement
+        surfaces on one zero point.
         """
         self.stats.reset()
         if reset_perf:
             self.device.perf.reset()
-            if self._screen_cache is not None:
-                self._screen_cache.hits = 0
-                self._screen_cache.misses = 0
 
     @property
     def running(self) -> bool:
@@ -485,20 +448,17 @@ class DarpaService:
         detector was quarantined or rehabilitated.  Fault-free runs
         never transition, keeping this path bit-inert.
         """
-        self.stats.registry.counter(
-            f"darpa.resilience.{_BREAKER_EVENT_COUNTER[event]}").inc()
+        name = _BREAKER_EVENT_COUNTER[event]
+        setattr(self.stats, name, getattr(self.stats, name) + 1)
         now = self.device.clock.now_ms
         self.tracer.emit("breaker_transition", start_ms=now, end_ms=now,
                          event=event, from_state=src.value,
                          to_state=dst.value)
 
     def _update_gauges(self) -> None:
-        registry = self.stats.registry
-        registry.gauge("darpa.breaker.state").set(
-            _BREAKER_GAUGE[self.breaker.state])
+        self.stats.breaker_state = _BREAKER_GAUGE[self.breaker.state]
         if self._screen_cache is not None:
-            registry.gauge("darpa.cache.entries").set(
-                len(self._screen_cache))
+            self.stats.cache_entries = float(len(self._screen_cache))
 
     def _detect(self, shot) -> Optional[Tuple[Sequence[ScoredBox], bool]]:
         """Cache probe, breaker-guarded inference, degraded fallback.

@@ -93,8 +93,8 @@ class CircuitBreaker:
 
     Every state transition — and the outcome of each half-open probe —
     is reported to the optional ``listener``, which the pipeline wires
-    to ``darpa.resilience.*`` registry counters and tracer events so
-    breaker flaps are visible in exported metrics, not just the final
+    to ``darpa.resilience.*`` counters and tracer events so breaker
+    flaps are visible in exported metrics, not just the final
     fallback count.  On a fault-free run no transition ever fires, so
     the listener (and the counters behind it) stay untouched.
     """

@@ -49,8 +49,6 @@ class ScreenFingerprintCache:
         self.capacity = capacity
         self.grid = grid
         self.levels = levels
-        self.hits = 0
-        self.misses = 0
         # Entries are tuples of frozen ScoredBoxes: handing out the
         # stored sequence by reference is safe because neither the tuple
         # nor its boxes can be mutated — a caller can't poison a future
@@ -115,13 +113,10 @@ class ScreenFingerprintCache:
     # -- LRU -------------------------------------------------------------
 
     def get(self, key: bytes) -> Optional[Tuple[ScoredBox, ...]]:
-        """Return the cached detections for ``key``, counting the probe."""
+        """Return the cached detections for ``key`` (None on a miss)."""
         entry = self._entries.get(key)
-        if entry is None:
-            self.misses += 1
-            return None
-        self._entries.move_to_end(key)
-        self.hits += 1
+        if entry is not None:
+            self._entries.move_to_end(key)
         return entry
 
     def put(self, key: bytes, detections: Sequence[ScoredBox]) -> None:
@@ -132,19 +127,5 @@ class ScreenFingerprintCache:
         while len(self._entries) > self.capacity:
             self._entries.popitem(last=False)
 
-    def lookup(self, pixels: np.ndarray) -> Optional[Tuple[ScoredBox, ...]]:
-        """Fingerprint + get in one call (convenience for tests)."""
-        return self.get(self.fingerprint(pixels))
-
     def __len__(self) -> int:
         return len(self._entries)
-
-    def clear(self) -> None:
-        self._entries.clear()
-        self.hits = 0
-        self.misses = 0
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0

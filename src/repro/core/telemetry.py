@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.android import device as _device
-from repro.core.observability import SpanIndex
+from repro.core.observability import COUNTER_METRICS, SpanIndex
 
 #: Default relative accuracy of the log buckets (DDSketch alpha).
 DEFAULT_ALPHA = 0.01
@@ -286,8 +286,9 @@ def sketches_from_index(index: SpanIndex, session: int = 0,
     return sketches
 
 
-#: Health counters a session contributes to fleet telemetry, in the
-#: historic short names (see ``repro.core.pipeline.STAT_COUNTERS``).
+#: Health counters a session contributes to fleet telemetry, by
+#: ``DarpaStats`` attribute; :data:`repro.core.observability.COUNTER_METRICS`
+#: gives each one's metric name.
 TELEMETRY_COUNTERS: Tuple[str, ...] = (
     "screens_analyzed",
     "decorations_drawn",
@@ -298,8 +299,6 @@ TELEMETRY_COUNTERS: Tuple[str, ...] = (
     "detector_failures",
     "breaker_opens",
     "deadline_skips",
-    # Breaker transition counters, read from the ``darpa.resilience.*``
-    # namespace (see ``repro.core.pipeline.RESILIENCE_COUNTERS``).
     "breaker_opened",
     "breaker_half_opened",
     "breaker_closed",
@@ -307,30 +306,12 @@ TELEMETRY_COUNTERS: Tuple[str, ...] = (
     "probe_failures",
 )
 
-_PIPELINE_PREFIX = "darpa.pipeline."
-_RESILIENCE_PREFIX = "darpa.resilience."
-
-#: Telemetry counters that live under ``darpa.resilience.`` instead of
-#: ``darpa.pipeline.`` in registry snapshots and Prometheus exports.
-RESILIENCE_TELEMETRY_COUNTERS: frozenset = frozenset((
-    "breaker_opened", "breaker_half_opened", "breaker_closed",
-    "probe_successes", "probe_failures"))
-
-
-def _counter_namespace(name: str) -> str:
-    return (_RESILIENCE_PREFIX if name in RESILIENCE_TELEMETRY_COUNTERS
-            else _PIPELINE_PREFIX)
-
 
 def counters_from_metrics(snapshot: Mapping[str, object]) -> Dict[str, int]:
-    """A session's telemetry counters out of its registry snapshot."""
+    """A session's telemetry counters out of its metrics snapshot."""
     recorded = snapshot.get("counters", {})
-    counters: Dict[str, int] = {name: 0 for name in TELEMETRY_COUNTERS}
-    for name in TELEMETRY_COUNTERS:
-        value = recorded.get(_counter_namespace(name) + name)  # type: ignore[union-attr]
-        if value is not None:
-            counters[name] = int(value)
-    return counters
+    return {name: int(recorded.get(COUNTER_METRICS[name], 0))  # type: ignore[union-attr]
+            for name in TELEMETRY_COUNTERS}
 
 
 @dataclass
@@ -474,7 +455,7 @@ class FleetTelemetry:
             lines.append(f"{metric}_sum {_prom_float(sketch.sum)}")
             lines.append(f"{metric}_count {sketch.count}")
         for name in sorted(self.counters):
-            metric = _prom_name(_counter_namespace(name) + name) + "_total"
+            metric = _prom_name(COUNTER_METRICS[name]) + "_total"
             lines.append(f"# TYPE {metric} counter")
             lines.append(f"{metric} {self.counters[name]}")
         lines.append("# TYPE darpa_fleet_sessions gauge")
@@ -494,12 +475,12 @@ def _prom_float(value: float) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Registry snapshot helpers (metrics.jsonl -> one merged exposition)
+# Metrics snapshot helpers (metrics.jsonl -> one merged exposition)
 # ---------------------------------------------------------------------------
 
 def merge_registry_snapshots(
     snapshots: Sequence[Mapping[str, object]]) -> Dict[str, object]:
-    """Fold per-session :class:`MetricsRegistry` snapshots into one.
+    """Fold per-session metrics snapshots into one.
 
     Counters add.  A gauge merges to its maximum over the sessions
     that report it, so the fleet shows the worst breaker state any
@@ -519,14 +500,13 @@ def merge_registry_snapshots(
 
 def registry_prometheus_lines(
         snapshot: Mapping[str, object]) -> List[str]:
-    """Prometheus text exposition of a registry snapshot, less the
+    """Prometheus text exposition of a metrics snapshot, less the
     health counters :meth:`FleetTelemetry.prometheus_lines` exports.
 
     The two are printed together by ``repro metrics``, and the text
     format allows each metric family to be declared only once.
     """
-    fleet_counters = {_counter_namespace(name) + name
-                      for name in TELEMETRY_COUNTERS}
+    fleet_counters = {COUNTER_METRICS[name] for name in TELEMETRY_COUNTERS}
     lines: List[str] = []
     for name in sorted(snapshot.get("counters", {})):  # type: ignore[union-attr]
         if name in fleet_counters:

@@ -1,5 +1,5 @@
-"""Unit tests for repro.core.observability: metrics, tracer, profiler,
-span-derived reporting, and the DarpaStats compatibility view."""
+"""Unit tests for repro.core.observability: tracer, profiler,
+span-derived reporting, and the DarpaStats counter record."""
 
 import io
 import json
@@ -11,9 +11,9 @@ from repro.android.clock import SimulatedClock
 from repro.android.device import PROFILE, Device, PerfMeter, PerfOp
 from repro.core import DarpaConfig, DarpaService, ScreenshotPolicy
 from repro.core.observability import (
+    COUNTER_METRICS,
     NULL_TRACER,
     OVERHEAD_STEP,
-    MetricsRegistry,
     PlanProfiler,
     Span,
     Tracer,
@@ -22,40 +22,9 @@ from repro.core.observability import (
     session_root,
     stage_cpu_ms,
 )
-from repro.core.pipeline import STAT_COUNTERS, DarpaStats
+from repro.core.pipeline import DarpaStats
 
 from tests.core.test_pipeline import make_session
-
-
-# ---------------------------------------------------------------------------
-# Metrics
-# ---------------------------------------------------------------------------
-
-class TestMetrics:
-    def test_counter_inc_and_reset(self):
-        reg = MetricsRegistry()
-        c = reg.counter("x")
-        c.inc()
-        c.inc(3)
-        assert c.value == 4
-        assert reg.counter("x") is c  # same instrument on re-touch
-        c.reset()
-        assert c.value == 0
-
-    def test_gauge_last_write_wins(self):
-        g = MetricsRegistry().gauge("g")
-        g.set(3)
-        g.set(1.5)
-        assert g.value == 1.5
-
-    def test_snapshot_shape(self):
-        reg = MetricsRegistry()
-        reg.counter("c").inc(2)
-        reg.gauge("g").set(7)
-        snap = reg.snapshot()
-        assert snap == {"counters": {"c": 2}, "gauges": {"g": 7.0}}
-        reg.reset()
-        assert reg.snapshot()["counters"] == {"c": 0}
 
 
 # ---------------------------------------------------------------------------
@@ -377,20 +346,23 @@ class TestTruncatedDumps:
 
 
 # ---------------------------------------------------------------------------
-# DarpaStats compatibility view + explicit reset (the stop/start fix)
+# DarpaStats counter record + explicit reset (the stop/start fix)
 # ---------------------------------------------------------------------------
 
 class TestDarpaStats:
-    def test_attributes_are_registry_counters(self):
+    def test_metrics_export_counters_by_metric_name(self):
         stats = DarpaStats()
         stats.retries += 2
-        assert stats.registry.counter("darpa.pipeline.retries").value == 2
-        stats.registry.counter("darpa.pipeline.retries").inc()
-        assert stats.retries == 3
+        stats.breaker_opened += 1
+        counters = stats.metrics()["counters"]
+        assert counters["darpa.pipeline.retries"] == 2
+        assert counters["darpa.resilience.breaker_opened"] == 1
+        assert stats.metrics()["gauges"] == {}
 
     def test_snapshot_covers_every_counter(self):
-        stats = DarpaStats()
-        assert set(stats.snapshot()) == set(STAT_COUNTERS)
+        counters = DarpaStats().metrics()["counters"]
+        assert list(counters) == list(COUNTER_METRICS.values())
+        assert set(counters.values()) == {0}
 
     def test_value_equality(self):
         a, b = DarpaStats(), DarpaStats()
@@ -432,11 +404,10 @@ class TestDarpaStats:
         app.launch()
         device.clock.advance(2000)
         assert any(device.perf.counts().values())
+        assert service.stats.cache_misses > 0
         service.reset_stats(reset_perf=True)
         assert not any(device.perf.counts().values())
-        if service.screen_cache is not None:
-            assert service.screen_cache.hits == 0
-            assert service.screen_cache.misses == 0
+        assert service.stats.cache_hits == service.stats.cache_misses == 0
 
 
 # ---------------------------------------------------------------------------
@@ -480,11 +451,10 @@ class TestServiceTracing:
         traced.start()
         app.launch()
         device.clock.advance(6000)
-        reg = traced.stats.registry
-        assert reg.gauge("darpa.breaker.state").value == 0  # CLOSED
-        if traced.screen_cache is not None:
-            assert reg.gauge("darpa.cache.entries").value == \
-                len(traced.screen_cache)
+        assert traced.stats.metrics()["gauges"] == {
+            "darpa.breaker.state": 0.0,  # CLOSED
+            "darpa.cache.entries": float(len(traced.screen_cache)),
+        }
 
     def test_span_ops_reproduce_meter_counts(self):
         device, app, traced, tracer = self._traced_session()

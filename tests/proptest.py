@@ -316,7 +316,7 @@ class TestSpanStructure:
 class TestMetricCoherence:
     def test_pipeline_counters_match_spans(self, case):
         spans = case.spans
-        counters = case.service.stats.registry.snapshot()["counters"]
+        counters = case.service.stats.metrics()["counters"]
         assert all(name.startswith(("darpa.pipeline.", "darpa.resilience."))
                    for name in counters)
         counter = lambda name: counters[f"darpa.pipeline.{name}"]  # noqa: E731
@@ -463,7 +463,7 @@ class TestSketchMergeAlgebra:
 def _fleet_results() -> List[SimpleNamespace]:
     cases = [_CASE_CACHE.setdefault(i, _run_case(i)) for i in CASES]
     return [SimpleNamespace(spans=c.spans,
-                            metrics=c.service.stats.registry.snapshot())
+                            metrics=c.service.stats.metrics())
             for c in cases]
 
 
