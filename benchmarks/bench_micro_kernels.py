@@ -4,10 +4,11 @@ These use pytest-benchmark's repeated timing (no pedantic one-shots):
 the conv forward pass, the IoU matrix, NMS, screen rendering, the
 view-tree raster of corpus screens, three devices' noisy screenshots in
 turn, the detector-input resize, box refinement, oracle-detector DARPA
-sessions (the simulated-clock event loop, debounce and decoration), a
-cold build of the Table VI fleet (the synthetic data generator), and
-the end-to-end per-frame detection latency that the paper's overhead
-model depends on.  The plan-forward benchmark additionally persists its
+sessions (the simulated-clock event loop, debounce and decoration),
+Monkey taps through the window manager's hit test, a cold build of the
+Table VI fleet (the synthetic data generator), and the end-to-end
+per-frame detection latency that the paper's overhead model depends
+on.  The plan-forward benchmark additionally persists its
 timings to ``BENCH_kernels.json`` at the repository root (override the
 directory with ``DARPA_BENCH_OUT``; the payload carries a provenance
 manifest), so the serving-path speedup is machine-checkable across
@@ -21,7 +22,7 @@ import numpy as np
 import pytest
 
 from repro.android import Device, Screen, View, WindowManager, render_screen
-from repro.android.view import Shape
+from repro.android.view import Shape, Visibility
 from repro.bench import experiments, print_table
 from repro.bench.experiments import build_runtime_fleet, run_darpa_session
 from repro.bench.kernels import _best_of_ms, run_kernel_bench
@@ -175,6 +176,47 @@ def test_micro_oracle_session(benchmark):
     screens = benchmark(sessions)
     assert sum(screens) > 0
     assert sessions() == screens
+
+
+def _reference_hit(view, x, y):
+    """The recursive hit test ``View.hit_test`` must agree with."""
+    if view.visibility is not Visibility.VISIBLE:
+        return None
+    if not view.bounds.contains_point(x, y):
+        return None
+    for child in reversed(view.children):
+        hit = _reference_hit(child, x, y)
+        if hit is not None:
+            return hit
+    return view if view.clickable else None
+
+
+def test_micro_dispatch_click(benchmark):
+    """Monkey taps routed through ``WindowManager.dispatch_click``: 20
+    seeded taps on every screen of the 8-app seed-0 fleet, each screen
+    mounted as its app window (windowed or full-screen), with the same
+    hits as a recursive reference walk."""
+    screen = Screen()
+    wms = []
+    for session in build_runtime_fleet(8, seed=0):
+        for step in session.spec.timeline.steps:
+            wm = WindowManager(screen)
+            wm.attach_app_window(step.screen.root, session.spec.package,
+                                 fullscreen=step.screen.fullscreen)
+            wms.append(wm)
+    rng = np.random.default_rng(0)
+    taps = [(wm, float(rng.uniform(0, screen.width)),
+             float(rng.uniform(0, screen.height)))
+            for wm in wms for _ in range(20)]
+    expected = []
+    for wm, x, y in taps:
+        (window,) = wm.windows
+        expected.append(_reference_hit(window.root, x - window.offset.x,
+                                       y - window.offset.y))
+    assert any(hit is not None for hit in expected)
+    assert any(hit is None for hit in expected)
+    hits = benchmark(lambda: [wm.dispatch_click(x, y) for wm, x, y in taps])
+    assert all(hit is want for hit, want in zip(hits, expected))
 
 
 def test_micro_cold_fleet(benchmark):

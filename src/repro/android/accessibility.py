@@ -205,9 +205,17 @@ class AccessibilityService:
         return window
 
     def remove_overlay(self, view: View) -> bool:
+        """Unmount an overlay and stop tracking it.
+
+        Matched by identity, like the window it unmounts: views compare
+        by value, and two value-equal overlays are still two mounts.
+        """
         removed = self.device.window_manager.remove_view(view)
-        if removed and view in self._overlays:
-            self._overlays.remove(view)
+        if removed:
+            for i, tracked in enumerate(self._overlays):
+                if tracked is view:
+                    del self._overlays[i]
+                    break
         return removed
 
     def remove_all_overlays(self) -> int:
@@ -221,24 +229,22 @@ class AccessibilityService:
     def overlays(self) -> List[View]:
         return list(self._overlays)
 
-    def get_location_on_screen(self, view: View) -> Offset:
-        """Proxy for ``View.getLocationOnScreen`` on an overlay view."""
-        return self.device.window_manager.get_location_on_screen(view)
-
     def measure_window_offset(self) -> Offset:
         """The paper's anchor-view calibration (Section IV-D).
 
         Mounts an invisible 1x1 anchor at overlay coordinate ``(0, 0)``,
         reads its on-screen location, and unmounts it.  The result is
         the current window's screen offset: ``(0, 0)`` for full-screen
-        apps, ``(0, status_bar_height)`` otherwise.
+        apps, ``(0, status_bar_height)`` otherwise.  The anchor is a
+        fresh view at its window's origin, so its location is the offset
+        of the overlay window just mounted for it; no other window can
+        hold it, so the stack is not searched.
         """
         anchor = View(bounds=Rect(0, 0, 1, 1), visibility=Visibility.INVISIBLE)
-        self.add_overlay(anchor, LayoutParams(x=0, y=0, width=1, height=1))
-        try:
-            return self.get_location_on_screen(anchor)
-        finally:
-            self.remove_overlay(anchor)
+        window = self.add_overlay(
+            anchor, LayoutParams(x=0, y=0, width=1, height=1))
+        self.remove_overlay(anchor)
+        return window.offset
 
     def dispatch_click(self, screen_x: float, screen_y: float) -> Optional[View]:
         """Inject a tap at screen coordinates (auto-bypass path)."""

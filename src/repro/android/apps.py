@@ -16,6 +16,7 @@ giving experiments their ground truth for AUI coverage.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import List, Optional, Sequence, Tuple
 
 from repro.geometry.rect import Rect
@@ -177,14 +178,13 @@ class SimulatedApp:
             AccessibilityEventType.TYPE_WINDOWS_CHANGED,
             self.spec.package, window_id=window.window_id,
         )
+        content_changed = partial(
+            self.device.emit_event,
+            AccessibilityEventType.TYPE_WINDOW_CONTENT_CHANGED,
+            self.spec.package, window_id=window.window_id,
+        )
         for offset in step.offsets():
-            clock.schedule(
-                offset,
-                lambda wid=window.window_id: self.device.emit_event(
-                    AccessibilityEventType.TYPE_WINDOW_CONTENT_CHANGED,
-                    self.spec.package, window_id=wid,
-                ),
-            )
+            clock.schedule(offset, content_changed)
 
     def finish(self) -> None:
         """Close the shown log at the current clock time."""

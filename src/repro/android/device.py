@@ -297,7 +297,7 @@ class Device:
         or storm deliveries without touching the event log.
         """
         for mask, callback in self._listeners:
-            if mask & int(event.event_type):
+            if mask & event.event_type:
                 callback(event)
 
     @property

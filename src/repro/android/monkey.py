@@ -18,6 +18,7 @@ import numpy as np
 from repro.android.device import Device
 from repro.android.events import AccessibilityEventType
 from repro.android.view import View
+from repro.scalars import uniform
 
 
 @dataclass
@@ -44,8 +45,8 @@ class Monkey:
 
     def _tap_once(self) -> MonkeyTap:
         screen = self.device.screen
-        x = float(self.rng.uniform(0, screen.width))
-        y = float(self.rng.uniform(0, screen.height))
+        x = uniform(self.rng, 0, screen.width)
+        y = uniform(self.rng, 0, screen.height)
         top = self.device.window_manager.top_app_window()
         package = top.package if top else "<system>"
         self.device.emit_event(

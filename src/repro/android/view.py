@@ -53,6 +53,9 @@ class Shape(Enum):
 
 _view_ids = itertools.count(1)
 
+#: Stack marker of :meth:`View.hit_test`: the view beneath it is the hit.
+_CLICKABLE = object()
+
 
 @dataclass
 class View:
@@ -130,18 +133,33 @@ class View:
     def hit_test(self, x: float, y: float) -> Optional["View"]:
         """Topmost visible *clickable* view at window point ``(x, y)``.
 
-        Android dispatches touches to the deepest, latest-drawn view;
-        we walk children in reverse draw order.
+        Android dispatches touches to the deepest, latest-drawn view:
+        only VISIBLE views whose bounds hold the point (right and bottom
+        edges inclusive, as :meth:`Rect.contains_point`) are entered,
+        their children in reverse draw order, and a clickable view is
+        the hit only when none of its children is.  The walk keeps an
+        explicit stack: a clickable view is pushed under the
+        ``_CLICKABLE`` marker beneath its children, so it is popped
+        only once every child subtree has missed.  A non-clickable leaf
+        can hold no hit, so it is dropped before its bounds are read.
         """
-        if self.visibility is not Visibility.VISIBLE:
-            return None
-        if not self.bounds.contains_point(x, y):
-            return None
-        for child in reversed(self.children):
-            hit = child.hit_test(x, y)
-            if hit is not None:
-                return hit
-        return self if self.clickable else None
+        visible = Visibility.VISIBLE
+        stack: List[object] = [self]
+        pop, push, extend = stack.pop, stack.append, stack.extend
+        while stack:
+            view = pop()
+            if view is _CLICKABLE:
+                return pop()
+            children = view.children
+            if not (children or view.clickable) or view.visibility is not visible:
+                continue
+            b = view.bounds
+            if b.x <= x <= b.x + b.w and b.y <= y <= b.y + b.h:
+                if view.clickable:
+                    push(view)
+                    push(_CLICKABLE)
+                extend(children)
+        return None
 
     def click(self) -> bool:
         """Invoke the click handler; True when one ran."""

@@ -37,6 +37,7 @@ from repro.core.observability import (
 )
 from repro.datagen import build_corpus, build_non_aui_screen, build_aui_screen, split_corpus
 from repro.datagen.corpus import Corpus
+from repro.geometry.nms import ScoredBox
 from repro.vision import (
     DetectionEvaluator,
     EvalResult,
@@ -347,7 +348,6 @@ class OracleDetector:
         self.app = app
 
     def detect_screen(self, screen_image, conf_threshold=None):
-        from repro.geometry.nms import ScoredBox
         state = self.app.current
         if state is None or not state.is_aui:
             return []

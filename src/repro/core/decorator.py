@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 from repro.geometry.nms import ScoredBox
-from repro.geometry.rect import Offset, Rect
+from repro.geometry.rect import Offset
 from repro.android.accessibility import AccessibilityService
 from repro.android.device import PerfOp
 from repro.android.faults import OverlayRejectedError
@@ -85,8 +85,9 @@ class ViewDecorator:
                 width=box.w,
                 height=box.h,
             )
+            # ``add_overlay`` lays the view out from ``params``.
             view = View(
-                bounds=Rect(params.x, params.y, params.width, params.height),
+                bounds=box,
                 border_color=color,
                 border_width=self.style.stroke_width,
             )

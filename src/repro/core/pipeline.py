@@ -338,9 +338,10 @@ class DarpaService:
         # The settle wait is only known in hindsight: it began at the
         # last UI event and ended just now, when the quiescence timer
         # fired — recorded retroactively as a closed `debounce` span.
-        self.tracer.emit(
-            "debounce", start_ms=event.timestamp_ms,
-            end_ms=self.device.clock.now_ms, package=event.package)
+        if self.tracer.enabled:
+            self.tracer.emit(
+                "debounce", start_ms=event.timestamp_ms,
+                end_ms=self.device.clock.now_ms, package=event.package)
         # A newly settled screen supersedes any retry still pending for
         # the previous one — that frame is gone.
         self._cancel_retry()
@@ -416,11 +417,12 @@ class DarpaService:
         )
         self.stats.records.append(record)
         self.stats.screens_analyzed += 1
-        if record.flagged_aui:
+        flagged = record.flagged_aui
+        if flagged:
             self.stats.auis_flagged += 1
-        tracer.annotate(a_span, outcome="ok", degraded=degraded,
-                        detections=len(detections),
-                        flagged=record.flagged_aui)
+        if tracer.enabled:
+            tracer.annotate(a_span, outcome="ok", degraded=degraded,
+                            detections=len(detections), flagged=flagged)
         if detections and self.config.decorate:
             with tracer.span("decorate",
                              detections=len(detections)) as d_span:
@@ -483,17 +485,19 @@ class DarpaService:
                     key = self._screen_cache.fingerprint(shot.pixels)
                     self.device.perf.record(PerfOp.CACHE_PROBE)
                     cached = self._screen_cache.get(key)
-                    tracer.annotate(c_span, fingerprint=key.hex()[:16],
-                                    hit=cached is not None)
+                    if tracer.enabled:
+                        tracer.annotate(c_span, fingerprint=key.hex()[:16],
+                                        hit=cached is not None)
                 if cached is not None:
                     self.stats.cache_hits += 1
                     tracer.set_attribute("cache_hit", True)
                     return cached, False
                 self.stats.cache_misses += 1
             if self.breaker.allow():
-                with tracer.span(
-                        "inference",
-                        breaker_state=self.breaker.state.value) as i_span:
+                with tracer.span("inference") as i_span:
+                    if tracer.enabled:
+                        tracer.annotate(
+                            i_span, breaker_state=self.breaker.state.value)
                     profiler = self._attach_profiler()
                     try:
                         try:

@@ -2,13 +2,15 @@
 
 The synthetic corpus and fleet builders (:mod:`repro.datagen`,
 :func:`repro.android.resources.obfuscate_entry`) make tens of thousands
-of single picks and clamps.  ``Generator.choice`` converts and validates
-its options on every call and ``np.clip`` boxes a 0-d array, so at size
-one they cost several times the draw itself.  The helpers here make the
-*same* draw ``Generator.choice`` makes internally and give ``np.clip``'s
-exact result, so every generated tree, and every generator state after
-it, is bit-identical to the NumPy calls they replace
-(``tests/test_scalars.py`` checks that against NumPy itself).
+of single picks and clamps, and the Monkey
+(:mod:`repro.android.monkey`) draws two uniform coordinates per tap.
+``Generator.choice`` and ``Generator.uniform`` convert and validate
+their arguments on every call and ``np.clip`` boxes a 0-d array, so at
+size one they cost several times the draw itself.  The helpers here
+make the *same* draw the NumPy call makes internally and give
+``np.clip``'s exact result, so every generated tree and tap, and every
+generator state after it, is bit-identical to the NumPy calls they
+replace (``tests/test_scalars.py`` checks that against NumPy itself).
 
 - A uniform pick is ``options[rng.integers(0, len(options))]``:
   ``choice`` draws ``integers(0, n, dtype=int64)`` and indexes.
@@ -16,12 +18,15 @@ it, is bit-identical to the NumPy calls they replace
   draws one ``random()`` and ``searchsorted(side="right")`` on
   ``p.cumsum() / cdf[-1]``.  :func:`weights_cdf` builds that cdf once,
   at import time of the caller.
+- A uniform float is ``low + (high - low) * rng.random()``: ``uniform``
+  computes exactly that from one ``random()`` draw.
 
 This module imports nothing from :mod:`repro`, so any layer can use it.
 """
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from typing import List, Sequence, Tuple, TypeVar
 
@@ -54,6 +59,18 @@ def pick_weighted(rng: np.random.Generator, options: Sequence[T],
     """``rng.choice(options, p=weights)`` with ``cdf = weights_cdf(weights)``:
     one weighted pick, the same draw."""
     return options[bisect_right(cdf, rng.random())]
+
+
+def uniform(rng: np.random.Generator, low: float, high: float) -> float:
+    """``float(rng.uniform(low, high))`` for scalar bounds: the same
+    draw, and the same errors for a negative or non-finite range."""
+    low = float(low)
+    span = float(high) - low
+    if not math.isfinite(span):
+        raise OverflowError("high - low range exceeds valid bounds")
+    if span < 0:
+        raise ValueError("high - low < 0")
+    return low + span * rng.random()
 
 
 def clip(x: float, lo: float, hi: float) -> float:

@@ -256,6 +256,22 @@ class TestOverlaysAndCalibration:
         assert svc.remove_all_overlays() == 3
         assert device.window_manager.overlays() == []
 
+    def test_remove_overlay_untracks_that_view_not_an_equal_one(self, device):
+        # Views compare by value, so removal must match by identity.
+        attach_demo_app(device)
+        svc = AccessibilityService(device)
+        a = View(bounds=Rect(0, 0, 10, 10))
+        b = View(bounds=Rect(0, 0, 10, 10))
+        params = LayoutParams(width=10, height=10)
+        svc.add_overlay(a, params)
+        svc.add_overlay(b, params)
+        assert a == b
+        assert svc.remove_overlay(b)
+        (left,) = svc.overlays
+        assert left is a
+        assert svc.remove_all_overlays() == 1
+        assert device.window_manager.overlays() == []
+
     def test_dispatch_click_reaches_app(self, device):
         root = View(bounds=Rect(0, 0, 360, 568))
         hits = []

@@ -1,6 +1,7 @@
 """Tests for views and view trees."""
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.android import ResourceId, SemanticRole, View, ViewGroup, Visibility
 from repro.geometry import Rect
@@ -101,3 +102,90 @@ class TestHitTest:
 
     def test_click_without_handler_returns_false(self):
         assert not View(bounds=Rect(0, 0, 10, 10), clickable=True).click()
+
+
+def reference_hit_test(view, x, y):
+    """The recursive hit test that ``View.hit_test`` replaced."""
+    if view.visibility is not Visibility.VISIBLE:
+        return None
+    if not view.bounds.contains_point(x, y):
+        return None
+    for child in reversed(view.children):
+        hit = reference_hit_test(child, x, y)
+        if hit is not None:
+            return hit
+    return view if view.clickable else None
+
+
+def _node(bounds, clickable, visibility, children=()):
+    view = View(bounds=bounds, clickable=clickable, visibility=visibility)
+    view.children.extend(children)
+    return view
+
+
+def _all_views(view):
+    """Every node, GONE subtrees included."""
+    yield view
+    for child in view.children:
+        yield from _all_views(child)
+
+
+# Small integer bounds make overlaps and shared edges common.
+_rects = st.builds(Rect, st.integers(0, 8), st.integers(0, 8),
+                   st.integers(0, 8), st.integers(0, 8))
+_visibility = st.sampled_from([Visibility.VISIBLE] * 4
+                              + [Visibility.INVISIBLE, Visibility.GONE])
+_trees = st.recursive(
+    st.builds(_node, _rects, st.booleans(), _visibility),
+    lambda kids: st.builds(_node, _rects, st.booleans(), _visibility,
+                           st.lists(kids, max_size=4)),
+    max_leaves=30)
+
+
+@st.composite
+def _trees_and_points(draw):
+    """A tree and points on every view's left, right, top and bottom
+    edge, and in between."""
+    root = draw(_trees)
+    views = list(_all_views(root))
+    xs = sorted({v.bounds.x for v in views}
+                | {v.bounds.x + v.bounds.w for v in views})
+    ys = sorted({v.bounds.y for v in views}
+                | {v.bounds.y + v.bounds.h for v in views})
+    points = draw(st.lists(
+        st.tuples(st.one_of(st.sampled_from(xs), st.floats(-1, 18)),
+                  st.one_of(st.sampled_from(ys), st.floats(-1, 18))),
+        min_size=1, max_size=8))
+    return root, points
+
+
+def _two_clickable_siblings():
+    """The later sibling wins, on its right and bottom edges too."""
+    root = _node(Rect(0, 0, 8, 8), False, Visibility.VISIBLE)
+    for _ in range(2):
+        root.add_child(_node(Rect(2, 2, 4, 4), True, Visibility.VISIBLE))
+    return root, [(6, 6), (2, 2), (6.5, 6)]
+
+
+def _clickable_parent():
+    """A non-clickable leaf does not shadow the clickable sibling under
+    it; GONE and INVISIBLE children pass the tap to their parent."""
+    root = _node(Rect(0, 0, 16, 16), True, Visibility.VISIBLE)
+    root.add_child(_node(Rect(0, 0, 4, 4), True, Visibility.VISIBLE))
+    root.add_child(_node(Rect(0, 0, 4, 4), False, Visibility.VISIBLE))
+    root.add_child(_node(Rect(8, 8, 4, 4), False, Visibility.GONE, [
+        _node(Rect(8, 8, 4, 4), True, Visibility.VISIBLE)]))
+    root.add_child(_node(Rect(12, 0, 4, 4), True, Visibility.INVISIBLE))
+    return root, [(2, 2), (4, 4), (10, 10), (14, 2), (16.5, 2)]
+
+
+@settings(max_examples=200, deadline=None)
+@example(case=_two_clickable_siblings())
+@example(case=_clickable_parent())
+@given(_trees_and_points())
+def test_hit_test_matches_recursive_reference(case):
+    """Same view (by identity) as the recursive walk, GONE and INVISIBLE
+    subtrees and non-clickable leaves included."""
+    root, points = case
+    for x, y in points:
+        assert root.hit_test(x, y) is reference_hit_test(root, x, y)

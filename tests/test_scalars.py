@@ -2,6 +2,7 @@
 
 Each pick must return what ``Generator.choice`` returns and leave the
 bit generator in the same state, for every bit generator NumPy ships;
+``uniform`` must return ``Generator.uniform``'s float bit for bit;
 ``clip`` must return ``np.clip``'s float bit for bit, NaN and signed
 zero included.
 """
@@ -10,9 +11,17 @@ import math
 import struct
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.scalars import clip, pick, pick_many, pick_weighted, weights_cdf
+from repro.scalars import (
+    clip,
+    pick,
+    pick_many,
+    pick_weighted,
+    uniform,
+    weights_cdf,
+)
 
 BIT_GENERATORS = (np.random.PCG64, np.random.MT19937, np.random.Philox,
                   np.random.SFC64)
@@ -114,6 +123,35 @@ SPECIAL = (0.0, -0.0, 1.0, -1.0, math.inf, -math.inf, math.nan, 5e-324, 2.0)
 scalars = st.one_of(st.sampled_from(SPECIAL + NANS),
                     st.floats(allow_nan=True, allow_infinity=True),
                     st.integers(-10, 10))
+
+
+bounds = st.one_of(st.integers(-1000, 1000),
+                   st.floats(-1e6, 1e6, allow_nan=False))
+
+
+@settings(max_examples=300, deadline=None)
+@given(generators, seeds, warms, bounds, bounds, st.integers(1, 4))
+def test_uniform_is_generator_uniform(bit_generator, seed, warm, low, high,
+                                      n_draws):
+    low, high = min(low, high), max(low, high)
+    ours, numpy_rng = _twins(bit_generator, seed, warm)
+    for _ in range(n_draws):
+        got = uniform(ours, low, high)
+        want = float(numpy_rng.uniform(low, high))
+        assert struct.pack("<d", got) == struct.pack("<d", want)
+    assert _same_state(ours.bit_generator.state, numpy_rng.bit_generator.state)
+
+
+def test_uniform_rejects_what_numpy_rejects():
+    rng = np.random.default_rng(0)
+    for low, high, error in ((0, -1, ValueError),
+                             (0, math.inf, OverflowError),
+                             (math.nan, 1, OverflowError),
+                             (-1e308, 1e308, OverflowError)):
+        with pytest.raises(error):
+            rng.uniform(low, high)
+        with pytest.raises(error):
+            uniform(rng, low, high)
 
 
 @settings(max_examples=1000, deadline=None)
